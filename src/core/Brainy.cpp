@@ -76,33 +76,26 @@ Brainy &Brainy::operator=(Brainy &&Other) noexcept {
 }
 
 Brainy Brainy::train(const TrainOptions &Options,
-                     const MachineConfig &Machine) {
+                     const MachineConfig &Machine, PhaseOneStats *Stats) {
   Brainy Out;
   Out.MachineName = Machine.Name;
   TrainingFramework Framework(Options, Machine);
-  std::array<PhaseOneResult, NumModelKinds> Phase1 = Framework.phaseOneAll();
-  // The six families are independent from here on: each profiles its own
-  // Phase II examples and trains its own seeded network, so they fan out
-  // over the framework's pool (phaseTwo's nested fan-out runs inline on
-  // the worker). Each model's training is deterministic in isolation, so
-  // the bundle is identical for any job count.
-  auto TrainOne = [&](size_t I) {
-    auto Kind = static_cast<ModelKind>(I);
-    std::vector<TrainExample> Examples =
-        Framework.phaseTwo(Kind, Phase1[I]);
-    Out.Models[I] = BrainyModel::train(Kind, Examples, Options.Net);
-  };
-  if (Framework.jobs() <= 1) {
-    for (unsigned I = 0; I != NumModelKinds; ++I)
-      TrainOne(I);
-  } else {
-    Framework.pool().parallelFor(0, NumModelKinds, TrainOne);
-  }
+  std::array<PhaseOneResult, NumModelKinds> Phase1 =
+      Framework.phaseOneAll(Stats);
+  std::array<std::vector<TrainExample>, NumModelKinds> Examples =
+      Framework.phaseTwoAll(Phase1);
+  // Each family trains its own seeded network, deterministic in isolation,
+  // so the six fan out and the bundle is identical for any job count.
+  Framework.pool().parallelFor(0, NumModelKinds, [&](size_t I) {
+    Out.Models[I] = BrainyModel::train(static_cast<ModelKind>(I),
+                                       Examples[I], Options.Net);
+  });
   if (!Options.MeasurementCacheFile.empty()) {
     // Distributed runs measure on workers, so the coordinator's cache —
-    // not the framework's — holds the wave results. Fold them in before
-    // persisting; mergeRecord counts only newly-learned bits as fresh, so
-    // a warm distributed rerun still reports zero fresh measurements.
+    // not the framework's — holds Phase I's measurements. Fold them in
+    // before persisting; mergeRecord counts only newly-learned bits as
+    // fresh, so a warm distributed rerun still reports zero fresh
+    // measurements.
     if (Options.Distribution)
       if (const MeasurementCache *Remote = Options.Distribution->measurements())
         for (const CycleRecord &Rec : Remote->records())

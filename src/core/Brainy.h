@@ -64,9 +64,11 @@ public:
   Brainy &operator=(Brainy &&Other) noexcept;
 
   /// Runs the full two-phase training framework for every model family on
-  /// \p Machine. Deterministic for fixed options.
+  /// \p Machine. Deterministic for fixed options. When \p Phase1 is
+  /// non-null it receives what the Phase I scan did.
   static Brainy train(const TrainOptions &Options,
-                      const MachineConfig &Machine);
+                      const MachineConfig &Machine,
+                      PhaseOneStats *Phase1 = nullptr);
 
   /// Loads \p Path if it holds a valid bundle trained for \p Machine with
   /// a matching tag; otherwise (missing, corrupt, version/machine/tag

@@ -64,7 +64,7 @@ uint64_t brainy::checkpointFingerprint(const TrainOptions &Options,
                                        bool CountUnmatchedSeeds) {
   uint64_t H = 14695981039346656037ull; // FNV offset basis
   fnvStr(H, "ckpt");
-  // Measurements are the ground truth every wave decision derives from;
+  // Measurements are the ground truth every merge decision derives from;
   // their fingerprint folds in every generator and machine knob.
   fnvInt(H, measurementFingerprint(Options.GenConfig, Machine));
   fnvInt(H, Options.FirstSeed);

@@ -1,17 +1,17 @@
-//===- core/Checkpoint.h - Resumable Phase I wave checkpoints --*- C++ -*-===//
+//===- core/Checkpoint.h - Resumable Phase I checkpoints -------*- C++ -*-===//
 //
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistence for the Phase I wave loop (DESIGN.md §13): after each
-/// merged wave the loop's entire state — the per-family PhaseOneResults
-/// plus the next wave's seed offset — is written to a checkpoint file, so
-/// a coordinator killed mid-run resumes from the last wave boundary and
-/// still emits a byte-identical bundle. The win-count array is not
-/// stored: every recorded (seed, bestDS) pair incremented it exactly
-/// once, so it is rebuilt from the pairs on load.
+/// Persistence for the Phase I ordered merge (DESIGN.md §13): as the
+/// merged prefix grows, the merge's entire state — the per-family
+/// PhaseOneResults plus the offset of the next unmerged seed — is written
+/// to a checkpoint file, so a coordinator killed mid-run resumes from the
+/// last saved offset and still emits a byte-identical bundle. The
+/// win-count array is not stored: every recorded (seed, bestDS) pair
+/// incremented it exactly once, so it is rebuilt from the pairs on load.
 ///
 /// File format (`brainy-ckpt v1`), hardened like the model bundle and the
 /// measurement cache:
@@ -26,14 +26,14 @@
 ///   skip <seed>                              seed-ascending
 ///   ...
 ///
-/// The fingerprint is FNV-1a-64 over everything a wave-loop decision
+/// The fingerprint is FNV-1a-64 over everything a merge decision
 /// depends on: the measurement fingerprint (generator config + machine),
 /// the Phase I knobs (FirstSeed, TargetPerDs, WinnerMargin, EvalRetries,
 /// ExcludeSeeds), and the model set being trained. MaxSeeds is
 /// deliberately excluded: the ordered merge consumes seeds sequentially,
-/// so a checkpoint taken at any wave boundary is valid for any seed
-/// budget — which is also what lets tests simulate a mid-run kill by
-/// capping MaxSeeds and resuming with the full budget.
+/// so a checkpoint taken at any offset is valid for any seed budget —
+/// which is also what lets tests simulate a mid-run kill by capping
+/// MaxSeeds and resuming with the full budget.
 ///
 /// Any validation failure — bad magic/version/CRC, truncation, machine or
 /// fingerprint mismatch, malformed or out-of-order records — rejects the
@@ -55,8 +55,8 @@
 
 namespace brainy {
 
-/// The Phase I wave loop's resumable state: results so far, the offset
-/// (relative to TrainOptions::FirstSeed) of the first unmerged wave, and
+/// The Phase I merge's resumable state: results so far, the offset
+/// (relative to TrainOptions::FirstSeed) of the first unmerged seed, and
 /// whether the loop had already stopped (every family full).
 struct TrainCheckpoint {
   uint64_t NextOffset = 0;
@@ -64,7 +64,7 @@ struct TrainCheckpoint {
   std::array<PhaseOneResult, NumModelKinds> Results;
 };
 
-/// FNV-1a-64 over every knob a Phase I wave-loop decision depends on (see
+/// FNV-1a-64 over every knob a Phase I merge decision depends on (see
 /// file comment; MaxSeeds deliberately excluded). \p Models /
 /// \p CountUnmatchedSeeds identify the phaseOneImpl variant, so a
 /// phaseOneAll checkpoint cannot resume a single-family phaseOne run.

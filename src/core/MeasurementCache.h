@@ -11,19 +11,14 @@
 /// of (seed, config, machine), so their cycle counts can be memoised once
 /// per TrainingFramework and shared across families, calls, and threads.
 ///
-/// Concurrency model (lock-free per chunk, merged at join): the cache
-/// itself takes no locks. Each worker chunk gets a private Shard that reads
-/// the shared map as a frozen snapshot and records fresh measurements
-/// locally; the coordinating thread folds shards back with merge() after
-/// the join. The contract is wave-shaped:
-///
-///   1. coordinator creates one Shard per chunk (shared map quiescent),
-///   2. workers use only their own Shard (concurrent const reads of the
-///      shared map are safe),
-///   3. coordinator merges every Shard before creating the next wave's.
-///
-/// Because measurements are pure, two shards measuring the same key record
-/// identical values and merge order cannot change any result.
+/// Concurrency model: each Phase I claim gets a private Shard that records
+/// fresh measurements locally, without a lock, and is folded back into the
+/// shared map with merge() as soon as its claim is evaluated — while other
+/// shards keep reading the map. The shared map is guarded by MapMutex;
+/// a shard takes it only to look up a (seed, kind) it has not measured
+/// itself, which is cheap next to the millisecond-scale measurement a hit
+/// saves. Because measurements are pure, two shards measuring the same key
+/// record identical values and merge order cannot change any result.
 ///
 /// Remote-backed tier (distributed Phase I, DESIGN.md §10): a cache can be
 /// given a RemoteFetchFn. A Shard whose local overlay and shared map both
@@ -67,10 +62,8 @@ struct CycleRecord {
 /// surface as exceptions and fail the seed like any evaluation fault.
 using RemoteFetchFn = std::function<bool(uint64_t Seed, CycleRecord &Out)>;
 
-/// Per-(seed, DsKind) cycle memo. Coordinator-side mutation (merge) is
-/// serialised by WaveMutex; shard-side reads are lock-free and rely on the
-/// wave contract described in the file comment (the shared map is frozen
-/// while any shard is live).
+/// Per-(seed, DsKind) cycle memo. Every access to the shared map holds
+/// MapMutex; a shard's own overlay is private to the thread using it.
 class MeasurementCache {
   struct Entry {
     std::array<double, NumDsKinds> Cycles{};
@@ -100,9 +93,9 @@ public:
           !FaultInjector::instance().shouldFail(FaultSite::CacheLookup, Seed,
                                                 /*Salt=*/I))
         return Cycles;
-      // Remote tier: ask once per seed per shard. The remote map is frozen
-      // for the shard's lifetime (the coordinator merges only between
-      // waves), so a second query for the same seed could not learn more.
+      // Remote tier: ask once per seed per shard. A shard serves one chunk,
+      // and no other chunk evaluates its seeds, so a second query for the
+      // same seed could not learn more.
       if (Parent->Remote && RemoteTried.insert(Seed).second) {
         CycleRecord Rec;
         if (Parent->Remote(Seed, Rec) && Rec.Mask) {
@@ -169,22 +162,16 @@ public:
   /// Setup-time only: call before any shard exists.
   void setRemoteTier(RemoteFetchFn Fn) { Remote = std::move(Fn); }
 
-  /// Folds a shard's fresh measurements into the shared map. Coordinator
-  /// only; no shard may be executing concurrently. Hash-order iteration is
-  /// safe here: entries are combined with per-kind masks, so the merged
-  /// map is identical for every visit order.
-  void merge(Shard &&S) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  /// Folds a shard's fresh measurements into the shared map; other shards
+  /// may be live. Hash-order iteration is safe here: entries are combined
+  /// with per-kind masks, so the merged map is identical for every visit
+  /// order.
+  void merge(Shard &&S) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     // brainy-lint: allow(unordered-iter): mask-union merge is commutative;
     // no result depends on the visit order of S.Fresh.
-    for (auto &KV : S.Fresh) {
-      Entry &Dst = Map[KV.first];
-      unsigned New = KV.second.MeasuredMask & ~Dst.MeasuredMask;
-      for (unsigned I = 0; I != NumDsKinds; ++I)
-        if (New & (1u << I))
-          Dst.Cycles[I] = KV.second.Cycles[I];
-      Dst.MeasuredMask |= KV.second.MeasuredMask;
-    }
+    for (auto &KV : S.Fresh)
+      fold(KV.first, KV.second.MeasuredMask, KV.second.Cycles);
     S.Fresh.clear();
     S.RemoteMask.clear();
     S.RemoteTried.clear();
@@ -194,34 +181,23 @@ public:
   /// mask-union rule as merge(): first write wins, duplicates are
   /// identical by purity. Newly-learned kind bits count as fresh
   /// measurements — they were computed this run, just remotely.
-  void mergeRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
-    Entry &Dst = Map[Rec.Seed];
-    unsigned New = Rec.Mask & ~Dst.MeasuredMask;
-    for (unsigned I = 0; I != NumDsKinds; ++I)
-      if (New & (1u << I))
-        Dst.Cycles[I] = Rec.Cycles[I];
-    Dst.MeasuredMask |= Rec.Mask;
+  void mergeRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
+    unsigned New = fold(Rec.Seed, Rec.Mask, Rec.Cycles);
     FreshCount.fetch_add(__builtin_popcount(New), std::memory_order_relaxed);
   }
 
   /// mergeRecord without the fresh accounting — the load path for records
   /// restored from a persisted measurement cache (MeasurementStore), which
   /// were computed by an earlier run.
-  void restoreRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
-    Entry &Dst = Map[Rec.Seed];
-    unsigned New = Rec.Mask & ~Dst.MeasuredMask;
-    for (unsigned I = 0; I != NumDsKinds; ++I)
-      if (New & (1u << I))
-        Dst.Cycles[I] = Rec.Cycles[I];
-    Dst.MeasuredMask |= Rec.Mask;
+  void restoreRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
+    fold(Rec.Seed, Rec.Mask, Rec.Cycles);
   }
 
   /// Every cached record, sorted by seed — the persistence snapshot.
-  /// Coordinator-side only (no shard may be live), like merge().
-  std::vector<CycleRecord> records() const BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  std::vector<CycleRecord> records() const BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     std::vector<CycleRecord> Out;
     Out.reserve(Map.size());
     // brainy-lint: allow(unordered-iter): the snapshot is sorted by seed
@@ -252,12 +228,11 @@ public:
 
   /// Everything known about \p Seed, for serving a remote tier. Returns
   /// false when no kind of the seed is cached. Thread-safe: the
-  /// coordinator answers worker lookups concurrently during a wave (the
-  /// map is read-only between merges, but the lock keeps the contract
-  /// simple and checkable).
+  /// coordinator answers worker lookups while other chunks' records are
+  /// being merged.
   bool lookupAll(uint64_t Seed, CycleRecord &Out) const
-      BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+      BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     auto It = Map.find(Seed);
     if (It == Map.end() || !It->second.MeasuredMask)
       return false;
@@ -268,18 +243,16 @@ public:
   }
 
   /// Number of seeds with at least one cached measurement.
-  size_t seeds() const BRAINY_EXCLUDES(WaveMutex) {
-    MutexLock Lock(WaveMutex);
+  size_t seeds() const BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     return Map.size();
   }
 
 private:
-  /// Shard-side read path. Deliberately unlocked: per the wave contract
-  /// the coordinator never mutates Map while a shard is live, so
-  /// concurrent const reads are race-free; taking WaveMutex here would put
-  /// a lock on the hot measurement path for no exclusion.
-  bool lookup(uint64_t Seed, DsKind Kind,
-              double &Cycles) const BRAINY_NO_THREAD_SAFETY_ANALYSIS {
+  /// Shard-side read path for one (seed, kind).
+  bool lookup(uint64_t Seed, DsKind Kind, double &Cycles) const
+      BRAINY_EXCLUDES(MapMutex) {
+    MutexLock Lock(MapMutex);
     auto It = Map.find(Seed);
     if (It == Map.end())
       return false;
@@ -290,14 +263,26 @@ private:
     return true;
   }
 
-  /// Serialises coordinator-side mutation. Shard reads stay outside it by
-  /// design (see lookup()).
-  mutable Mutex WaveMutex;
-  std::unordered_map<uint64_t, Entry> Map BRAINY_GUARDED_BY(WaveMutex);
+  /// The mask-union rule every write path shares: kinds already known keep
+  /// their value. Returns the kind bits that were new.
+  unsigned fold(uint64_t Seed, unsigned Mask,
+                const std::array<double, NumDsKinds> &Cycles)
+      BRAINY_REQUIRES(MapMutex) {
+    Entry &Dst = Map[Seed];
+    unsigned New = Mask & ~Dst.MeasuredMask;
+    for (unsigned I = 0; I != NumDsKinds; ++I)
+      if (New & (1u << I))
+        Dst.Cycles[I] = Cycles[I];
+    Dst.MeasuredMask |= Mask;
+    return New;
+  }
+
+  mutable Mutex MapMutex;
+  std::unordered_map<uint64_t, Entry> Map BRAINY_GUARDED_BY(MapMutex);
   /// Optional remote tier; set at setup time, immutable afterwards.
   RemoteFetchFn Remote;
   /// Fresh-measurement tally (see freshMeasurements()). A relaxed atomic,
-  /// not WaveMutex state: shards bump it lock-free from worker threads and
+  /// not MapMutex state: shards bump it lock-free from worker threads and
   /// it feeds only diagnostics, never a training result.
   mutable std::atomic<uint64_t> FreshCount{0};
 };

@@ -4,16 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Phase I's parallel structure: seeds are evaluated in fixed-size chunks,
-// one wave of jobs() chunks at a time. Chunk evaluation touches only pure
-// inputs — the spec, the machine, and a private MeasurementCache shard — so
-// a seed's outcome never depends on scheduling. The win-count bookkeeping
-// (early stopping, margin rejects, SeedsScanned) is applied afterwards by a
-// single ordered merge walking the wave's seeds in order, which makes the
-// parallel run bit-identical to the serial one: the merge stops at exactly
-// the seed where the serial loop would have stopped. The only cost of
-// parallelism is that seeds past the stopping point inside the final wave
-// may have been measured needlessly.
+// Phase I's parallel structure: evaluators claim runs of seeds from a
+// PhaseOneWindow and evaluate them from pure inputs only — the spec, the
+// machine, and a private MeasurementCache shard — so a seed's outcome never
+// depends on scheduling. The win-count bookkeeping (early stopping, margin
+// rejects, SeedsScanned) is applied by a single ordered merge that commits
+// each run as soon as every earlier run is in, which makes every run
+// bit-identical to the serial one: the merge stops at exactly the seed
+// where a serial scan stops. The price of parallelism is a bounded amount
+// of speculation past that seed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +22,7 @@
 #include "core/MeasurementStore.h"
 #include "support/Env.h"
 #include "support/FaultInjector.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <array>
@@ -56,6 +56,27 @@ bool specMatches(const AppSpec &Spec, ModelKind Model) {
     return true;
   }
   return false;
+}
+
+/// Appends \p Model's Phase II replays to \p Out. The per-class cap
+/// depends only on the recorded order, so it is decided here, up front;
+/// the expensive profiled replays then fan out freely while the output
+/// keeps the recorded (serial) order.
+void acceptReplays(ModelKind Model, const PhaseOneResult &Pairs,
+                   const TrainOptions &Options,
+                   std::vector<std::pair<ModelKind, SeedBest>> &Out) {
+  unsigned Cap =
+      Options.MaxPerDsPhase2 ? Options.MaxPerDsPhase2 : Options.TargetPerDs;
+  std::array<unsigned, NumDsKinds> Taken{};
+  for (const SeedBest &Pair : Pairs.SeedDsPairs) {
+    unsigned &Count = Taken[static_cast<unsigned>(Pair.BestDs)];
+    // "Phase II does not accept the rest": drop surplus examples of an
+    // already-full class before paying for feature profiling.
+    if (Count >= Cap)
+      continue;
+    ++Count;
+    Out.emplace_back(Model, Pair);
+  }
 }
 
 struct RaceOutcome {
@@ -94,6 +115,211 @@ RaceOutcome raceWith(const std::vector<DsKind> &Candidates,
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// PhaseOneWindow
+//===----------------------------------------------------------------------===//
+
+PhaseOneWindow::PhaseOneWindow(
+    const TrainOptions &Options, std::vector<ModelKind> Models,
+    bool CountUnmatchedSeeds,
+    std::array<PhaseOneResult, NumModelKinds> Restored,
+    uint64_t Begin, uint64_t End, uint64_t Grain, uint64_t Depth,
+    bool FixedSpeculation, uint64_t CheckpointEvery, uint64_t CkptFingerprint,
+    std::string MachineName)
+    : Options(Options), Models(std::move(Models)),
+      CountUnmatchedSeeds(CountUnmatchedSeeds), Begin(Begin),
+      End(std::max(Begin, End)), Grain(std::max<uint64_t>(1, Grain)),
+      Depth(std::max<uint64_t>(1, Depth)),
+      NumRuns((this->End - Begin + this->Grain - 1) / this->Grain),
+      FixedSpeculation(FixedSpeculation), CheckpointEvery(CheckpointEvery),
+      CkptFingerprint(CkptFingerprint),
+      MachineName(std::move(MachineName)) {
+  MutexLock Lock(M);
+  // Each restored pair incremented its family's win count exactly once.
+  Results = std::move(Restored);
+  for (unsigned I = 0; I != NumModelKinds; ++I)
+    for (const SeedBest &P : Results[I].SeedDsPairs)
+      ++WinCount[I][static_cast<unsigned>(P.BestDs)];
+  NextOffset = SavedOffset = Begin;
+  if (FixedSpeculation)
+    Masks.assign(this->Depth, wantedNow());
+  // A scan that starts with every family full admits nothing.
+  Stopped = allFull();
+  Admitted = Stopped ? 0 : std::min(NumRuns, this->Depth);
+}
+
+bool PhaseOneWindow::modelFull(ModelKind Model) const {
+  auto I = static_cast<unsigned>(Model);
+  for (DsKind Kind : modelCandidates(Model))
+    if (WinCount[I][static_cast<unsigned>(Kind)] < Options.TargetPerDs)
+      return false;
+  return true;
+}
+
+bool PhaseOneWindow::allFull() const {
+  for (ModelKind Model : Models)
+    if (!modelFull(Model))
+      return false;
+  return true;
+}
+
+PhaseOneWindow::WantedMask PhaseOneWindow::wantedNow() const {
+  WantedMask Wanted{};
+  for (ModelKind Model : Models)
+    Wanted[static_cast<unsigned>(Model)] = !modelFull(Model);
+  return Wanted;
+}
+
+bool PhaseOneWindow::claim(SeedClaim &Out) {
+  MutexLock Lock(M);
+  if (Claimed == Admitted && Admitted != NumRuns && !Stopped) {
+    // Depth runs are out and the oldest is not committed yet.
+    WallTimer Idle;
+    while (Claimed == Admitted && Admitted != NumRuns && !Stopped)
+      Cv.wait(M);
+    Stats.IdleSeconds += Idle.seconds();
+  }
+  if (Claimed == Admitted || (Stopped && !FixedSpeculation))
+    return false;
+  uint64_t Run = Claimed++;
+  uint64_t First = Begin + Run * Grain;
+  Out.BeginSeed = Options.FirstSeed + First;
+  Out.EndSeed = Options.FirstSeed + std::min(End, First + Grain);
+  if (FixedSpeculation) {
+    // The mask as of the commit that admitted this run, not the latest
+    // one: how far the merge has got by now is a matter of timing.
+    uint64_t AdmittedAt = Run + 1 > Depth ? Run + 1 - Depth : 0;
+    Out.Wanted = Masks[AdmittedAt % Depth];
+  } else {
+    Out.Wanted = wantedNow();
+  }
+  Stats.SeedsClaimed += Out.EndSeed - Out.BeginSeed;
+  return true;
+}
+
+void PhaseOneWindow::complete(const SeedClaim &Claim,
+                              std::vector<SeedEvalResult> Slots) {
+  MutexLock Lock(M);
+  if (Stopped)
+    return;
+  uint64_t Run = (Claim.BeginSeed - Options.FirstSeed - Begin) / Grain;
+  Slots.resize(static_cast<size_t>(Claim.EndSeed - Claim.BeginSeed));
+  Done.emplace(Run, std::move(Slots));
+  if (Run != Committed)
+    return;
+  try {
+    commitReady();
+  } catch (...) {
+    // A merge that cannot finish (out of memory) must not leave evaluators
+    // waiting for a commit that never comes: close the window, rethrow.
+    Stopped = true;
+    Done.clear();
+    Cv.notifyAll();
+    throw;
+  }
+  Cv.notifyAll();
+}
+
+void PhaseOneWindow::mergeSeed(uint64_t Seed, const SeedEvalResult &Slot) {
+  for (ModelKind Model : Models) {
+    if (modelFull(Model))
+      continue;
+    auto I = static_cast<unsigned>(Model);
+    PhaseOneResult &R = Results[I];
+    // A skipped seed is invisible to the merge: not scanned, not raced,
+    // but recorded per still-hungry family so callers can reconcile fault
+    // runs with fault-free runs over the surviving seed set.
+    if (!Slot.Ok) {
+      R.SkippedSeeds.push_back(Seed);
+      continue;
+    }
+    const SeedOutcome &O = Slot.Outcomes[I];
+    if (CountUnmatchedSeeds)
+      ++R.SeedsScanned;
+    if (!O.Matched)
+      continue;
+    if (!CountUnmatchedSeeds)
+      ++R.SeedsScanned;
+    // Footnote 2: only record clear winners, so marginal apps do not teach
+    // the model noise.
+    if (O.NumCandidates > 1 && O.Margin < Options.WinnerMargin) {
+      ++R.MarginRejects;
+      continue;
+    }
+    ++WinCount[I][static_cast<unsigned>(O.Best)];
+    R.SeedDsPairs.push_back({Seed, O.Best});
+  }
+}
+
+void PhaseOneWindow::commitReady() {
+  while (!Stopped && !Done.empty() && Done.begin()->first == Committed) {
+    std::vector<SeedEvalResult> Slots = std::move(Done.begin()->second);
+    Done.erase(Done.begin());
+    uint64_t Offset = Begin + Committed * Grain;
+    for (const SeedEvalResult &Slot : Slots) {
+      mergeSeed(Options.FirstSeed + Offset, Slot);
+      NextOffset = ++Offset;
+      // The serial scan checks fullness before every seed; stopping here
+      // leaves the next seed unconsumed, exactly as it would.
+      if ((Stopped = allFull()))
+        break;
+    }
+    if (Stopped)
+      break;
+    ++Committed;
+    Admitted = std::min(NumRuns, Committed + Depth);
+    if (FixedSpeculation)
+      Masks[Committed % Depth] = wantedNow();
+  }
+  if (Stopped)
+    Done.clear();
+  Stats.SeedsCommitted = NextOffset - Begin;
+  // Commit point for resumable runs: the merge's entire state is
+  // (Results, NextOffset), and WinCount is derivable from the pairs. A
+  // failed save costs resumability, not correctness.
+  if (CheckpointEvery && (Stopped || NextOffset == End ||
+                          NextOffset - SavedOffset >= CheckpointEvery))
+    persist();
+}
+
+void PhaseOneWindow::persist() {
+  TrainCheckpoint Ck;
+  Ck.NextOffset = NextOffset;
+  Ck.Stopped = Stopped;
+  Ck.Results = Results;
+  SavedOffset = NextOffset;
+  if (Error E = saveCheckpoint(Options.CheckpointFile, Ck, CkptFingerprint,
+                               MachineName))
+    std::fprintf(stderr, "brainy: phase I: checkpoint save failed: %s\n",
+                 E.message().c_str());
+}
+
+void ChunkEvalService::run(PhaseOneWindow &Window) {
+  std::vector<SeedClaim> Wave;
+  for (;;) {
+    Wave.clear();
+    SeedClaim Claim;
+    while (Wave.size() < std::max(1u, width()) && Window.claim(Claim))
+      Wave.push_back(Claim);
+    if (Wave.empty())
+      return;
+    // Claims taken back to back are contiguous, and the first one carries
+    // the oldest mask, a superset of the others'.
+    uint64_t First = Wave.front().BeginSeed;
+    std::vector<SeedEvalResult> Slots =
+        evalWave(First, Wave.back().EndSeed, Wave.front().Wanted);
+    Slots.resize(static_cast<size_t>(Wave.back().EndSeed - First));
+    for (const SeedClaim &C : Wave)
+      Window.complete(C, std::vector<SeedEvalResult>(
+                             Slots.begin() + (C.BeginSeed - First),
+                             Slots.begin() + (C.EndSeed - First)));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// TrainingFramework
+//===----------------------------------------------------------------------===//
 
 TrainingFramework::TrainingFramework(TrainOptions Options,
                                      MachineConfig Machine)
@@ -196,166 +422,32 @@ bool TrainingFramework::tryEvalSeed(
   return false;
 }
 
-std::vector<SeedEvalResult> TrainingFramework::evalWaveLocal(
-    uint64_t WaveBegin, uint64_t WaveEnd,
-    const std::array<bool, NumModelKinds> &Wanted) const {
-  size_t NumSeeds = static_cast<size_t>(WaveEnd - WaveBegin);
-  size_t NumChunks = (NumSeeds + PhaseOneChunk - 1) / PhaseOneChunk;
-
-  std::vector<MeasurementCache::Shard> Shards;
-  Shards.reserve(NumChunks);
-  for (size_t C = 0; C != NumChunks; ++C)
-    Shards.push_back(Cache.shard());
-
-  std::vector<SeedEvalResult> Evals(NumSeeds);
-  std::vector<std::exception_ptr> ChunkErrors;
-  pool().parallelChunks(
-      0, NumChunks, 1,
-      [&](size_t CBegin, size_t CEnd) {
-        for (size_t C = CBegin; C != CEnd; ++C) {
-          uint64_t Begin = WaveBegin + C * PhaseOneChunk;
-          uint64_t End = std::min(WaveEnd, Begin + PhaseOneChunk);
-          for (uint64_t Offset = Begin; Offset != End; ++Offset) {
-            SeedEvalResult &Slot = Evals[Offset - WaveBegin];
-            Slot.Ok = tryEvalSeed(Options.FirstSeed + Offset, Wanted,
-                                  Shards[C], Slot.Outcomes);
-          }
-        }
-      },
-      ChunkErrors);
-  // tryEvalSeed never throws, so captured chunk errors are unexpected
-  // (e.g. bad_alloc). Log and keep going: the chunk's untouched slots stay
-  // Ok=false and merge as skipped instead of aborting the wave.
-  for (size_t C = 0; C != NumChunks; ++C) {
-    if (!ChunkErrors[C])
-      continue;
-    uint64_t Begin = WaveBegin + C * PhaseOneChunk;
-    try {
-      std::rethrow_exception(ChunkErrors[C]);
-    } catch (const std::exception &E) {
-      std::fprintf(stderr,
-                   "brainy: phase I: chunk at seed %llu failed: %s\n",
-                   static_cast<unsigned long long>(Options.FirstSeed + Begin),
-                   E.what());
-      // brainy-lint: allow(catch-all): classification tail of a
-      // rethrow_exception switch; the chunk is already recorded failed.
-    } catch (...) {
-      std::fprintf(stderr, "brainy: phase I: chunk at seed %llu failed\n",
-                   static_cast<unsigned long long>(Options.FirstSeed +
-                                                   Begin));
+void TrainingFramework::evaluateClaims(PhaseOneWindow &Window) const {
+  SeedClaim Claim;
+  while (Window.claim(Claim)) {
+    std::vector<SeedEvalResult> Slots(
+        static_cast<size_t>(Claim.EndSeed - Claim.BeginSeed));
+    MeasurementCache::Shard Shard = Cache.shard();
+    for (uint64_t Seed = Claim.BeginSeed; Seed != Claim.EndSeed; ++Seed) {
+      SeedEvalResult &Slot = Slots[Seed - Claim.BeginSeed];
+      Slot.Ok = tryEvalSeed(Seed, Claim.Wanted, Shard, Slot.Outcomes);
     }
+    // Complete before folding the shard: if the fold throws, no evaluator
+    // is left waiting on this claim.
+    Window.complete(Claim, std::move(Slots));
+    Cache.merge(std::move(Shard));
   }
-
-  for (MeasurementCache::Shard &S : Shards)
-    Cache.merge(std::move(S));
-  return Evals;
 }
 
 std::array<PhaseOneResult, NumModelKinds>
 TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
-                                bool CountUnmatchedSeeds) const {
-  std::array<PhaseOneResult, NumModelKinds> Results;
-  std::array<std::array<unsigned, NumDsKinds>, NumModelKinds> WinCount{};
-
-  auto ModelFull = [&](ModelKind Model) {
-    auto M = static_cast<unsigned>(Model);
-    for (DsKind Kind : modelCandidates(Model))
-      if (WinCount[M][static_cast<unsigned>(Kind)] < Options.TargetPerDs)
-        return false;
-    return true;
-  };
-  auto AllFull = [&]() {
-    for (ModelKind Model : Models)
-      if (!ModelFull(Model))
-        return false;
-    return true;
-  };
-  auto WantedNow = [&]() {
-    std::array<bool, NumModelKinds> Wanted{};
-    for (ModelKind Model : Models)
-      Wanted[static_cast<unsigned>(Model)] = !ModelFull(Model);
-    return Wanted;
-  };
-
-  // Applies one evaluated seed's bookkeeping, in seed order. Fullness is
-  // monotone, so re-checking ModelFull here makes dispatch-time Wanted
-  // snapshots (always supersets) converge to exactly the serial decisions.
-  // Returns false once every family is full: the seed was NOT consumed.
-  auto MergeSeed = [&](uint64_t Seed,
-                       const std::array<SeedOutcome, NumModelKinds> &Evals) {
-    if (AllFull())
-      return false;
-    for (ModelKind Model : Models) {
-      auto M = static_cast<unsigned>(Model);
-      if (ModelFull(Model))
-        continue;
-      const SeedOutcome &O = Evals[M];
-      if (CountUnmatchedSeeds)
-        ++Results[M].SeedsScanned;
-      if (!O.Matched)
-        continue;
-      if (!CountUnmatchedSeeds)
-        ++Results[M].SeedsScanned;
-      // Footnote 2: only record clear winners, so marginal apps do not
-      // teach the model noise.
-      if (O.NumCandidates > 1 && O.Margin < Options.WinnerMargin) {
-        ++Results[M].MarginRejects;
-        continue;
-      }
-      ++WinCount[M][static_cast<unsigned>(O.Best)];
-      Results[M].SeedDsPairs.push_back({Seed, O.Best});
-    }
-    return true;
-  };
-
-  // A skipped seed is invisible to the merge: not scanned, not raced, but
-  // recorded per still-hungry family so callers can reconcile fault runs
-  // with fault-free runs over the surviving seed set.
-  auto RecordSkip = [&](uint64_t Seed) {
-    for (ModelKind Model : Models) {
-      auto M = static_cast<unsigned>(Model);
-      if (!ModelFull(Model))
-        Results[M].SkippedSeeds.push_back(Seed);
-    }
-  };
-
-  if (jobs() <= 1 && !Options.Distribution && Options.CheckpointFile.empty()) {
-    // Serial path: one shard for the whole scan, fullness consulted live so
-    // no seed is ever measured past the stopping point. (Checkpointing
-    // forces the wave path below: wave boundaries are its commit points,
-    // and the ordered merge makes the results identical either way.)
-    MeasurementCache::Shard Shard = Cache.shard();
-    std::array<SeedOutcome, NumModelKinds> Out{};
-    for (uint64_t Offset = 0; Offset != Options.MaxSeeds; ++Offset) {
-      if (AllFull())
-        break;
-      uint64_t Seed = Options.FirstSeed + Offset;
-      if (tryEvalSeed(Seed, WantedNow(), Shard, Out))
-        MergeSeed(Seed, Out);
-      else
-        RecordSkip(Seed);
-    }
-    Cache.merge(std::move(Shard));
-    return Results;
-  }
-
-  // Parallel/distributed path: waves of Width chunks. Each chunk races its
-  // seeds against a dispatch-time fullness snapshot — on pool threads into
-  // private cache shards, or on remote workers via the ChunkEvalService —
-  // and the join replays the bookkeeping in seed order. The merge below is
-  // the only consumer of either evaluator, so local, distributed, and
-  // serial runs are bit-identical by construction.
-  unsigned Width =
-      Options.Distribution ? Options.Distribution->width() : jobs();
-  if (Width == 0)
-    Width = 1;
-  uint64_t WaveSeeds = PhaseOneChunk * Width;
-
-  // Resumable coordination (DESIGN.md §13): restore the last committed
-  // wave boundary, rebuild the win counts from the restored pairs (each
-  // pair incremented its count exactly once), and continue from there. A
-  // missing file is the normal cold start; any other load failure is
-  // logged and also cold-starts — a checkpoint can be stale, never wrong.
+                                bool CountUnmatchedSeeds,
+                                PhaseOneStats *Stats) const {
+  // Resumable coordination (DESIGN.md §13): restore the last saved prefix
+  // and continue from there. A missing file is the normal cold start; any
+  // other load failure is logged and also cold-starts — a checkpoint can
+  // be stale, never wrong.
+  std::array<PhaseOneResult, NumModelKinds> Restored;
   uint64_t StartOffset = 0;
   uint64_t CkptFingerprint = 0;
   if (!Options.CheckpointFile.empty()) {
@@ -364,112 +456,84 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
     Expected<TrainCheckpoint> Ck =
         loadCheckpoint(Options.CheckpointFile, CkptFingerprint, Machine.Name);
     if (Ck) {
-      Results = std::move(Ck->Results);
-      for (unsigned M = 0; M != NumModelKinds; ++M)
-        for (const SeedBest &P : Results[M].SeedDsPairs)
-          ++WinCount[M][static_cast<unsigned>(P.BestDs)];
-      StartOffset = Ck->NextOffset;
       std::fprintf(stderr,
                    "brainy: phase I: resumed from checkpoint at seed "
                    "offset %llu%s\n",
-                   static_cast<unsigned long long>(StartOffset),
+                   static_cast<unsigned long long>(Ck->NextOffset),
                    Ck->Stopped ? " (already complete)" : "");
       if (Ck->Stopped)
-        return Results;
+        return std::move(Ck->Results);
+      Restored = std::move(Ck->Results);
+      StartOffset = Ck->NextOffset;
     } else if (Ck.error().code() != ErrCode::IoError) {
       std::fprintf(stderr, "brainy: phase I: cold start: %s\n",
                    Ck.error().message().c_str());
     }
   }
 
-  for (uint64_t WaveBegin = StartOffset;
-       WaveBegin < Options.MaxSeeds && !AllFull(); WaveBegin += WaveSeeds) {
-    uint64_t WaveEnd = std::min(Options.MaxSeeds, WaveBegin + WaveSeeds);
-    std::array<bool, NumModelKinds> Wanted = WantedNow();
+  // Local evaluators claim one seed at a time with the latest mask, so
+  // Jobs=1 is exactly the serial scan. Each extra evaluator adds
+  // PhaseOneLookahead seeds of window. Remote evaluators claim wire-sized
+  // chunks, two per worker so a worker's next chunk is ready when it
+  // finishes one, under fixed speculation: a fleet's measurements depend
+  // on its shape alone, so a warm rerun of it simulates nothing. The merge
+  // is the only consumer of either evaluator, so local, distributed and
+  // serial runs are bit-identical by construction.
+  ChunkEvalService *Service = Options.Distribution;
+  uint64_t Width = std::max(1u, Service ? Service->width() : jobs());
+  uint64_t Grain = Service ? PhaseOneChunk : 1;
+  uint64_t Depth = Service ? 2 * Width : 1 + PhaseOneLookahead * (Width - 1);
+  uint64_t CheckpointEvery =
+      Options.CheckpointFile.empty() ? 0 : PhaseOneChunk * Width;
+  PhaseOneWindow Window(Options, Models, CountUnmatchedSeeds,
+                        std::move(Restored), StartOffset, Options.MaxSeeds,
+                        Grain, Depth, /*FixedSpeculation=*/Service != nullptr,
+                        CheckpointEvery, CkptFingerprint, Machine.Name);
+  if (Service)
+    Service->run(Window);
+  else
+    pool().parallelFor(0, Width, [&](size_t) { evaluateClaims(Window); });
 
-    std::vector<SeedEvalResult> Evals =
-        Options.Distribution
-            ? Options.Distribution->evalWave(Options.FirstSeed + WaveBegin,
-                                             Options.FirstSeed + WaveEnd,
-                                             Wanted)
-            : evalWaveLocal(WaveBegin, WaveEnd, Wanted);
-    // A short service reply leaves trailing slots defaulted: Ok=false, so
-    // the missing seeds merge as skipped rather than faulting.
-    Evals.resize(static_cast<size_t>(WaveEnd - WaveBegin));
-
-    bool Stopped = false;
-    for (uint64_t Offset = WaveBegin; Offset != WaveEnd && !Stopped;
-         ++Offset) {
-      uint64_t Seed = Options.FirstSeed + Offset;
-      const SeedEvalResult &Slot = Evals[Offset - WaveBegin];
-      if (!Slot.Ok) {
-        // Same decision order as the serial loop: stop if every family is
-        // already full, otherwise record the skip and move on.
-        if (AllFull())
-          Stopped = true;
-        else
-          RecordSkip(Seed);
-        continue;
-      }
-      Stopped = !MergeSeed(Seed, Slot.Outcomes);
-    }
-
-    // Commit the merged wave. The loop's entire state at the next
-    // iteration's top is (Results, WinCount, WaveBegin), and WinCount is
-    // derivable from the pairs — so this file plus the options is exactly
-    // a resume point. A failed save costs resumability, not correctness.
-    if (!Options.CheckpointFile.empty()) {
-      TrainCheckpoint Ck;
-      Ck.NextOffset = WaveEnd;
-      Ck.Stopped = AllFull();
-      Ck.Results = Results;
-      if (Error E = saveCheckpoint(Options.CheckpointFile, Ck,
-                                   CkptFingerprint, Machine.Name))
-        std::fprintf(stderr, "brainy: phase I: checkpoint save failed: %s\n",
-                     E.message().c_str());
-    }
-  }
-  return Results;
+  MutexLock Lock(Window.M);
+  if (Stats)
+    *Stats = Window.Stats;
+  return std::move(Window.Results);
 }
 
-PhaseOneResult TrainingFramework::phaseOne(ModelKind Model) const {
-  return std::move(
-      phaseOneImpl({Model}, /*CountUnmatchedSeeds=*/true)[static_cast<
-          unsigned>(Model)]);
+PhaseOneResult TrainingFramework::phaseOne(ModelKind Model,
+                                           PhaseOneStats *Stats) const {
+  return std::move(phaseOneImpl({Model}, /*CountUnmatchedSeeds=*/true,
+                                Stats)[static_cast<unsigned>(Model)]);
 }
 
 std::array<PhaseOneResult, NumModelKinds>
-TrainingFramework::phaseOneAll() const {
+TrainingFramework::phaseOneAll(PhaseOneStats *Stats) const {
   std::vector<ModelKind> Models;
   Models.reserve(NumModelKinds);
   for (unsigned M = 0; M != NumModelKinds; ++M)
     Models.push_back(static_cast<ModelKind>(M));
-  return phaseOneImpl(Models, /*CountUnmatchedSeeds=*/false);
+  return phaseOneImpl(Models, /*CountUnmatchedSeeds=*/false, Stats);
 }
 
 std::vector<TrainExample>
 TrainingFramework::phaseTwo(ModelKind Model,
                             const PhaseOneResult &Pairs) const {
-  DsKind Original = modelOriginal(Model);
-  unsigned Cap =
-      Options.MaxPerDsPhase2 ? Options.MaxPerDsPhase2 : Options.TargetPerDs;
+  std::vector<Replay> Accepted;
+  acceptReplays(Model, Pairs, Options, Accepted);
+  return std::move(profileAccepted(Accepted)[static_cast<unsigned>(Model)]);
+}
 
-  // The per-class cap depends only on the recorded order, so decide it
-  // up front; the expensive profiled replays then fan out freely while the
-  // output keeps the recorded (serial) order.
-  std::array<unsigned, NumDsKinds> Taken{};
-  std::vector<SeedBest> Accepted;
-  Accepted.reserve(Pairs.SeedDsPairs.size());
-  for (const SeedBest &Pair : Pairs.SeedDsPairs) {
-    unsigned &Count = Taken[static_cast<unsigned>(Pair.BestDs)];
-    // "Phase II does not accept the rest": drop surplus examples of an
-    // already-full class before paying for feature profiling.
-    if (Count >= Cap)
-      continue;
-    ++Count;
-    Accepted.push_back(Pair);
-  }
+std::array<std::vector<TrainExample>, NumModelKinds>
+TrainingFramework::phaseTwoAll(
+    const std::array<PhaseOneResult, NumModelKinds> &Pairs) const {
+  std::vector<Replay> Accepted;
+  for (unsigned M = 0; M != NumModelKinds; ++M)
+    acceptReplays(static_cast<ModelKind>(M), Pairs[M], Options, Accepted);
+  return profileAccepted(Accepted);
+}
 
+std::array<std::vector<TrainExample>, NumModelKinds>
+TrainingFramework::profileAccepted(const std::vector<Replay> &Accepted) const {
   // Each accepted pair profiles into its own slot; a replay that fails
   // every retry leaves its slot unset and is dropped at the end, so one
   // bad seed costs one example, not the phase. Fault decisions are keyed
@@ -478,14 +542,15 @@ TrainingFramework::phaseTwo(ModelKind Model,
   std::vector<char> Ok(Accepted.size(), 0);
   unsigned Attempts = Options.EvalRetries + 1;
   auto ProfileOne = [&](size_t I) {
-    const SeedBest &Pair = Accepted[I];
+    const SeedBest &Pair = Accepted[I].second;
     for (unsigned Attempt = 0; Attempt != Attempts; ++Attempt) {
       try {
         FaultInjector::instance().maybeThrow(FaultSite::Eval, Pair.Seed,
                                              PhaseTwoSalt + Attempt,
                                              "phase II profiling");
         AppSpec Spec = AppSpec::fromSeed(Pair.Seed, Options.GenConfig);
-        ProfiledOutcome Out = runAppProfiled(Spec, Original, Machine);
+        ProfiledOutcome Out =
+            runAppProfiled(Spec, modelOriginal(Accepted[I].first), Machine);
         Slots[I].Features = Out.Features;
         Slots[I].BestDs = Pair.BestDs;
         Slots[I].Seed = Pair.Seed;
@@ -509,40 +574,15 @@ TrainingFramework::phaseTwo(ModelKind Model,
       }
     }
   };
-  if (jobs() <= 1) {
-    for (size_t I = 0, E = Accepted.size(); I != E; ++I)
-      ProfileOne(I);
-  } else {
-    // Per-item error capture: an escaped failure costs that item only.
-    std::vector<std::exception_ptr> ItemErrors;
-    pool().parallelChunks(
-        0, Accepted.size(), 1,
-        [&](size_t Begin, size_t End) {
-          for (size_t I = Begin; I != End; ++I)
-            ProfileOne(I);
-        },
-        ItemErrors);
-    for (size_t I = 0; I != ItemErrors.size(); ++I) {
-      if (!ItemErrors[I])
-        continue;
-      try {
-        std::rethrow_exception(ItemErrors[I]);
-      } catch (const std::exception &E) {
-        std::fprintf(stderr, "brainy: phase II: item %zu failed: %s\n", I,
-                     E.what());
-        // brainy-lint: allow(catch-all): classification tail of a
-        // rethrow_exception switch; the item was already dropped above.
-      } catch (...) {
-        std::fprintf(stderr, "brainy: phase II: item %zu failed\n", I);
-      }
-    }
-  }
+  // ProfileOne never throws, so one flat fan-out over every family's
+  // replays keeps the pool busy until the last one is done.
+  pool().parallelFor(0, Accepted.size(), ProfileOne);
   // Compact away dropped slots; survivors keep the recorded order.
-  std::vector<TrainExample> Examples;
-  Examples.reserve(Accepted.size());
+  std::array<std::vector<TrainExample>, NumModelKinds> Examples;
   for (size_t I = 0, E = Accepted.size(); I != E; ++I)
     if (Ok[I])
-      Examples.push_back(std::move(Slots[I]));
+      Examples[static_cast<unsigned>(Accepted[I].first)].push_back(
+          std::move(Slots[I]));
   return Examples;
 }
 

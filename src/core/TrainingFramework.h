@@ -29,17 +29,29 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace brainy {
 
-/// Seeds per Phase I worker chunk — the unit of dispatch for both the local
-/// thread pool and the distributed coordinator (DESIGN.md §7, §10). Purely a
-/// scheduling knob: results are identical for any value, it only balances
-/// claim overhead against tail waste.
+/// Seeds per distributed Phase I chunk — the unit a dist::Coordinator
+/// sends over the wire (DESIGN.md §10) — and per checkpoint save per
+/// evaluator. Purely a scheduling knob: results are identical for any
+/// value, it only balances claim overhead against tail waste.
 constexpr uint64_t PhaseOneChunk = 16;
+
+/// Seeds of window each local Phase I evaluator beyond the first adds
+/// (DESIGN.md §7). A single seed can cost a hundred times its neighbours
+/// (1.5 s against a 20 ms median with the default generator config), and
+/// the others keep claiming past it only while the window has room: on a
+/// 4-vCPU host, at 16 seeds per evaluator 4 evaluators spent a sixth of a
+/// 3000-seed scan waiting; at 64 they wait well under 1%. Like
+/// PhaseOneChunk, results are identical for any value.
+constexpr uint64_t PhaseOneLookahead = 64;
 
 /// One seed's Phase I evaluation for one family, computed from pure
 /// measurements only (no dependence on win-count state). This is the unit
@@ -52,39 +64,68 @@ struct SeedOutcome {
   unsigned NumCandidates = 0;
 };
 
-/// A seed's evaluation slot as produced by local chunk workers or streamed
+/// A seed's evaluation slot as produced by local evaluators or streamed
 /// back from distributed ones. Ok=false means the seed is skipped — the
 /// default, so a chunk that dies mid-flight (worker loss, transport error)
-/// leaves its unevaluated seeds skipped rather than poisoning the wave.
+/// leaves its unevaluated seeds skipped rather than poisoning the scan.
 struct SeedEvalResult {
   bool Ok = false;
   std::array<SeedOutcome, NumModelKinds> Outcomes{};
 };
 
-/// Evaluates Phase I waves on behalf of the framework — the seam between
+/// A run of consecutive seeds handed to one Phase I evaluator, with the
+/// Wanted mask to evaluate them against.
+struct SeedClaim {
+  uint64_t BeginSeed = 0;
+  uint64_t EndSeed = 0;
+  std::array<bool, NumModelKinds> Wanted{};
+};
+
+/// What one Phase I scan did, for reporting (`brainy train` prints it).
+struct PhaseOneStats {
+  /// Seeds handed to evaluators, including those evaluated past the stop.
+  uint64_t SeedsClaimed = 0;
+  /// Seeds the ordered merge consumed (scanned or skipped).
+  uint64_t SeedsCommitted = 0;
+  /// Evaluator wall time spent waiting for the window to open (depth runs
+  /// out, the oldest not yet committed). Reporting only; never feeds a
+  /// result.
+  double IdleSeconds = 0;
+};
+
+class PhaseOneWindow;
+
+/// Evaluates Phase I seeds on behalf of the framework — the seam between
 /// core and src/distributed/ (which implements it with worker processes)
 /// kept abstract here so core never depends on the transport layer.
 ///
-/// The contract mirrors the local wave loop: evalWave receives a chunk-
-/// aligned seed range and a dispatch-time Wanted snapshot, evaluates every
-/// seed purely, and returns one slot per seed in seed order. Slots for
-/// seeds lost to worker death/timeout come back Ok=false and turn into
-/// PhaseOneResult::SkippedSeeds during the ordered merge, exactly like a
-/// locally failed evaluation.
+/// The framework hands the service its PhaseOneWindow, whose claims are
+/// PhaseOneChunk-seed chunks. Every seed is evaluated purely and comes back
+/// as one slot in seed order. Slots for seeds lost to worker death/timeout
+/// come back Ok=false and turn into PhaseOneResult::SkippedSeeds during the
+/// ordered merge, exactly like a locally failed evaluation.
 class ChunkEvalService {
 public:
   virtual ~ChunkEvalService() = default;
 
-  /// Number of chunk evaluators: one wave spans width() * PhaseOneChunk
-  /// seeds (the local loop's jobs() analogue).
+  /// Number of chunk evaluators (the local path's jobs() analogue). The
+  /// window admits 2 * width() chunks past its commit point.
   virtual unsigned width() const = 0;
 
-  /// Evaluates seeds [\p BeginSeed, \p EndSeed) against \p Wanted.
+  /// Evaluates seeds [\p BeginSeed, \p EndSeed) against \p Wanted, fanned
+  /// out over the service's evaluators, and returns once all are done.
   /// Returns EndSeed - BeginSeed slots in seed order; a short reply is
   /// treated as trailing skips by the caller.
   virtual std::vector<SeedEvalResult>
   evalWave(uint64_t BeginSeed, uint64_t EndSeed,
            const std::array<bool, NumModelKinds> &Wanted) = 0;
+
+  /// Drains \p Window: claims chunks until claim() returns false and
+  /// completes each one. The default claims width() chunks at a time and
+  /// evaluates them as one evalWave, which is correct for any service but
+  /// idles at every join; dist::Coordinator overrides it with one driver
+  /// per worker, each claiming its next chunk as soon as it is free.
+  virtual void run(PhaseOneWindow &Window);
 
   /// The measurement cache this service accumulated while evaluating, or
   /// null if it keeps none. Brainy::train folds it into the framework's
@@ -112,7 +153,7 @@ struct TrainOptions {
   unsigned MaxPerDsPhase2 = 0; ///< 0 = same as TargetPerDs
   /// Worker threads for Phase I racing, Phase II profiling, and per-model
   /// training. 0 = take the BRAINY_JOBS environment variable, or 1 when it
-  /// is unset. 1 runs the serial path with no thread pool. Results are
+  /// is unset. 1 runs everything on the calling thread. Results are
   /// bit-identical for every value.
   unsigned Jobs = 0;
   /// A seed evaluation that throws (or is fault-injected) is retried this
@@ -126,7 +167,7 @@ struct TrainOptions {
   /// worker-loss hook for distributed Phase I, and how fault-run
   /// determinism is asserted in tests.
   std::set<uint64_t> ExcludeSeeds;
-  /// When set, Phase I wave evaluation is delegated to this service — in
+  /// When set, Phase I evaluation is delegated to this service — in
   /// practice a dist::Coordinator fanning chunks out to worker processes —
   /// instead of the local thread pool; Jobs then governs only Phase II and
   /// model training. Non-owning: the service must outlive the framework.
@@ -141,14 +182,12 @@ struct TrainOptions {
   /// recorded under a different generator config or machine is rejected by
   /// fingerprint and ignored.
   std::string MeasurementCacheFile;
-  /// When non-empty, resumable Phase I (DESIGN.md §13): every merged wave
-  /// is persisted to this file (`brainy-ckpt v1`, atomic write), and a
-  /// restarted run resumes from the last wave boundary with a
-  /// byte-identical final bundle. Checkpointing forces the wave path even
-  /// at Jobs=1 (wave boundaries are its commit points) — results are
-  /// unchanged, since the ordered merge is partition-independent. A
-  /// corrupt or config-mismatched file is rejected wholesale and the run
-  /// cold-starts; a checkpoint can never make a bundle wrong.
+  /// When non-empty, resumable Phase I (DESIGN.md §13): the merged prefix
+  /// is persisted to this file (`brainy-ckpt v1`, atomic write) every
+  /// PhaseOneChunk * width seeds and when the scan ends, and a restarted
+  /// run resumes from the last saved offset with a byte-identical final
+  /// bundle. A corrupt or config-mismatched file is rejected wholesale and
+  /// the run cold-starts; a checkpoint can never make a bundle wrong.
   std::string CheckpointFile;
   /// Network hyperparameters for the final model.
   NetConfig Net;
@@ -174,34 +213,149 @@ struct PhaseOneResult {
   std::vector<uint64_t> SkippedSeeds;
 };
 
+/// Phase I's ordered-commit sliding window (DESIGN.md §7). Evaluators claim
+/// consecutive runs of seeds from a cursor and hand each one back through
+/// complete(); a run is committed into the ordered merge as soon as every
+/// earlier run has been, by whichever evaluator completes the prefix, so
+/// no evaluator waits for its peers to finish.
+///
+/// Speculation is bounded: run c may be claimed only once run c - depth()
+/// is committed. Each claim carries a Wanted mask taken from the merge at
+/// some commit before it; fullness only grows, so that mask is a superset
+/// of what the merge needs at the claim's seeds, and the merge, which
+/// re-checks fullness seed by seed, is bit-identical to a serial scan.
+/// Which mask, and what happens at the stop, depends on the mode:
+///
+///  * latest (local evaluators): the mask as of the latest commit, and no
+///    claim is handed out once every family is full. Least waste, but
+///    which (seed, kind) pairs get measured depends on timing.
+///  * fixed (distributed evaluators): the mask as of the commit that
+///    admitted the run (run c - depth()), and the runs admitted before the
+///    stop are still handed out, evaluated and discarded. Which pairs get
+///    measured is then a function of (options, grain, depth) alone, so a
+///    warm rerun of the same fleet finds every measurement on disk.
+///
+/// Thread-safe: any number of evaluators may claim and complete
+/// concurrently. Every claimed run must be completed exactly once, or later
+/// claims wait forever.
+class PhaseOneWindow {
+public:
+  PhaseOneWindow(const PhaseOneWindow &) = delete;
+  PhaseOneWindow &operator=(const PhaseOneWindow &) = delete;
+
+  /// Claims the next run. Waits while depth() runs are claimed but not yet
+  /// committed; returns false once the scan is over: no seeds left, or
+  /// every family full (in the fixed mode, once every run admitted before
+  /// that is handed out).
+  bool claim(SeedClaim &Out) BRAINY_EXCLUDES(M);
+
+  /// Hands back \p Claim's slots, one per seed in seed order; a short
+  /// vector leaves the trailing seeds Ok=false (skipped). Commits every run
+  /// whose predecessors are all committed. Runs completed after the stop
+  /// are discarded.
+  void complete(const SeedClaim &Claim, std::vector<SeedEvalResult> Slots)
+      BRAINY_EXCLUDES(M);
+
+  /// Runs that may be claimed ahead of the commit point.
+  uint64_t depth() const { return Depth; }
+
+private:
+  friend class TrainingFramework;
+  using WantedMask = std::array<bool, NumModelKinds>;
+
+  /// Scans seed offsets [Begin, End) (relative to Options.FirstSeed) in
+  /// runs of \p Grain, continuing from \p Restored; \p FixedSpeculation
+  /// selects the fixed mode. A non-zero \p CheckpointEvery saves a
+  /// checkpoint each time that many more seeds are committed, and when the
+  /// scan ends.
+  PhaseOneWindow(const TrainOptions &Options, std::vector<ModelKind> Models,
+                 bool CountUnmatchedSeeds,
+                 std::array<PhaseOneResult, NumModelKinds> Restored,
+                 uint64_t Begin, uint64_t End, uint64_t Grain, uint64_t Depth,
+                 bool FixedSpeculation, uint64_t CheckpointEvery,
+                 uint64_t CkptFingerprint, std::string MachineName);
+
+  bool modelFull(ModelKind Model) const BRAINY_REQUIRES(M);
+  bool allFull() const BRAINY_REQUIRES(M);
+  WantedMask wantedNow() const BRAINY_REQUIRES(M);
+  void mergeSeed(uint64_t Seed, const SeedEvalResult &Slot)
+      BRAINY_REQUIRES(M);
+  /// Merges completed runs in order from the commit point.
+  void commitReady() BRAINY_REQUIRES(M);
+  /// Saves the merged prefix to Options.CheckpointFile.
+  void persist() BRAINY_REQUIRES(M);
+
+  const TrainOptions &Options;
+  const std::vector<ModelKind> Models;
+  const bool CountUnmatchedSeeds;
+  const uint64_t Begin, End, Grain, Depth, NumRuns;
+  const bool FixedSpeculation;
+  const uint64_t CheckpointEvery, CkptFingerprint;
+  const std::string MachineName;
+
+  Mutex M;
+  ConditionVariable Cv;
+  std::array<PhaseOneResult, NumModelKinds> Results BRAINY_GUARDED_BY(M);
+  std::array<std::array<unsigned, NumDsKinds>, NumModelKinds>
+      WinCount BRAINY_GUARDED_BY(M){};
+  /// Runs handed out, runs committed, and runs that may be handed out
+  /// (Committed + Depth, frozen once the merge stops).
+  uint64_t Claimed BRAINY_GUARDED_BY(M) = 0;
+  uint64_t Committed BRAINY_GUARDED_BY(M) = 0;
+  uint64_t Admitted BRAINY_GUARDED_BY(M) = 0;
+  /// Every family is full: nothing more is committed.
+  bool Stopped BRAINY_GUARDED_BY(M) = false;
+  /// Seed offset just past the last consumed seed, and where it stood at
+  /// the last checkpoint save.
+  uint64_t NextOffset BRAINY_GUARDED_BY(M) = 0;
+  uint64_t SavedOffset BRAINY_GUARDED_BY(M) = 0;
+  /// Completed runs waiting for their predecessors, by run index.
+  std::map<uint64_t, std::vector<SeedEvalResult>> Done BRAINY_GUARDED_BY(M);
+  /// Fixed mode: Masks[k % Depth] is the Wanted mask after k committed
+  /// runs.
+  std::vector<WantedMask> Masks BRAINY_GUARDED_BY(M);
+  PhaseOneStats Stats BRAINY_GUARDED_BY(M);
+};
+
 /// Runs both training phases for the six model families of one machine.
 ///
-/// Concurrency: with Jobs > 1 both phases fan seed chunks out over a shared
-/// ThreadPool and merge chunk results in seed order, so every result —
-/// (seed, bestDS) pairs, win-count early stopping, margin-reject counts —
-/// is bit-identical to the serial Jobs=1 run. Per-(seed, kind) cycle
-/// measurements are memoised in a MeasurementCache shared across model
-/// families, phases, threads, and repeated phaseOne calls.
+/// Concurrency: with Jobs > 1 both phases fan work out over a shared
+/// ThreadPool — Phase I through its PhaseOneWindow — and merge in seed
+/// order, so every result — (seed, bestDS) pairs, win-count early
+/// stopping, margin-reject counts — is bit-identical to the Jobs=1 run.
+/// Per-(seed, kind) cycle measurements are memoised in a MeasurementCache
+/// shared across model families, phases, threads, and repeated phaseOne
+/// calls.
 class TrainingFramework {
 public:
   TrainingFramework(TrainOptions Options, MachineConfig Machine);
 
   /// Algorithm 1 for \p Model: scans seeds, races candidates, records
   /// margin-passing winners until every candidate reaches TargetPerDs or
-  /// MaxSeeds is exhausted.
-  PhaseOneResult phaseOne(ModelKind Model) const;
+  /// MaxSeeds is exhausted. When \p Stats is non-null it receives what the
+  /// scan did.
+  PhaseOneResult phaseOne(ModelKind Model,
+                          PhaseOneStats *Stats = nullptr) const;
 
   /// Algorithm 1 for every model family in a single seed sweep. Each
   /// candidate kind runs an application at most once per seed and the
   /// measurement is shared by every family racing it — e.g. the vector and
   /// list families race the same {vector, list, deque} runs. Produces the
-  /// same winners as per-family phaseOne at a fraction of the cost.
-  std::array<PhaseOneResult, NumModelKinds> phaseOneAll() const;
+  /// same winners as per-family phaseOne at a fraction of the cost. When
+  /// \p Stats is non-null it receives what the scan did.
+  std::array<PhaseOneResult, NumModelKinds>
+  phaseOneAll(PhaseOneStats *Stats = nullptr) const;
 
   /// Algorithm 2: regenerates each recorded seed, profiles the app on the
   /// model's *original* structure, and emits training examples.
   std::vector<TrainExample> phaseTwo(ModelKind Model,
                                      const PhaseOneResult &Pairs) const;
+
+  /// Algorithm 2 for every family, element M equal to
+  /// phaseTwo(M, Pairs[M]). All families' replays fan out as one list, so
+  /// the pool stays busy until the last replay, not the largest family.
+  std::array<std::vector<TrainExample>, NumModelKinds>
+  phaseTwoAll(const std::array<PhaseOneResult, NumModelKinds> &Pairs) const;
 
   /// Whether the app generated from \p Seed belongs to \p Model's family
   /// (original-DS usage with matching order-obliviousness).
@@ -246,22 +400,28 @@ public:
                    std::array<SeedOutcome, NumModelKinds> &Out) const;
 
 private:
-  /// The local wave evaluator: Width chunks of PhaseOneChunk seeds fanned
-  /// over pool() into private cache shards, merged back before returning.
-  /// Offsets are relative to Options.FirstSeed.
-  std::vector<SeedEvalResult>
-  evalWaveLocal(uint64_t WaveBegin, uint64_t WaveEnd,
-                const std::array<bool, NumModelKinds> &Wanted) const;
+  /// A Phase II replay: a recorded pair of the given family.
+  using Replay = std::pair<ModelKind, SeedBest>;
+
+  /// One local evaluator: claims seeds from \p Window until it closes,
+  /// evaluating each claim into a private cache shard that is folded back
+  /// once the claim is complete.
+  void evaluateClaims(PhaseOneWindow &Window) const;
+
+  /// Profiles every replay over the pool; returns each family's examples
+  /// in replay order, minus replays that failed every retry.
+  std::array<std::vector<TrainExample>, NumModelKinds>
+  profileAccepted(const std::vector<Replay> &Accepted) const;
 
   std::array<PhaseOneResult, NumModelKinds>
-  phaseOneImpl(const std::vector<ModelKind> &Models,
-               bool CountUnmatchedSeeds) const;
+  phaseOneImpl(const std::vector<ModelKind> &Models, bool CountUnmatchedSeeds,
+               PhaseOneStats *Stats) const;
 
   TrainOptions Options;
   MachineConfig Machine;
   unsigned ResolvedJobs = 1;
   size_t LoadedMeasurements = 0;
-  /// Internally synchronised (WaveMutex + the wave contract).
+  /// Internally synchronised.
   mutable MeasurementCache Cache;
   /// Guards only the lazy creation of Pool; the pool itself is internally
   /// synchronised once constructed.

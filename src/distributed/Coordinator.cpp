@@ -114,8 +114,9 @@ bool Coordinator::ensureWorker(unsigned I) {
   dropWorker(I);
   // A slot that cannot be (re)spawned repeatedly — refused reconnects, a
   // gone host, a broken exec — is retired so the rest of the run is not
-  // spent on doomed connect attempts. Its chunks degrade to SkippedSeeds
-  // like any other loss.
+  // spent on doomed connect attempts: its driver stops claiming chunks
+  // (run()), and the chunks it failed degrade to SkippedSeeds like any
+  // other loss.
   if (++S.SpawnFailures >= MaxSpawnFailures && !S.Dead) {
     S.Dead = true;
     DeclaredDead.fetch_add(1, std::memory_order_relaxed);
@@ -222,22 +223,48 @@ Coordinator::evalWave(uint64_t BeginSeed, uint64_t EndSeed,
   size_t NumSeeds = static_cast<size_t>(EndSeed - BeginSeed);
   size_t NumChunks = (NumSeeds + PhaseOneChunk - 1) / PhaseOneChunk;
   std::vector<SeedEvalResult> Evals(NumSeeds);
-  // Chunk C goes to worker C (the framework sizes waves to width()
-  // chunks, so C < NumWorkers; the modulo is a guard). Each driver writes
+  // Driver W runs chunks W, W + NumWorkers, ... on worker W. Each writes
   // a disjoint slice of Evals and parallelFor joins before we return.
-  Drivers.parallelFor(0, NumChunks, [&](size_t C) {
-    uint64_t Begin = BeginSeed + C * PhaseOneChunk;
-    uint64_t End = std::min(EndSeed, Begin + PhaseOneChunk);
-    std::vector<SeedEvalResult> Out;
-    if (runChunk(static_cast<unsigned>(C % NumWorkers), Begin, End, Wanted,
-                 Out)) {
-      std::move(Out.begin(), Out.end(),
-                Evals.begin() + static_cast<size_t>(Begin - BeginSeed));
-    } else {
-      // The chunk's slots stay Ok=false: the merge skips these seeds,
-      // exactly as if they had been excluded up front.
-      LostSeeds.fetch_add(End - Begin, std::memory_order_relaxed);
+  Drivers.parallelFor(
+      0, std::min<size_t>(NumChunks, NumWorkers), [&](size_t W) {
+        for (size_t C = W; C < NumChunks; C += NumWorkers) {
+          uint64_t Begin = BeginSeed + C * PhaseOneChunk;
+          uint64_t End = std::min(EndSeed, Begin + PhaseOneChunk);
+          std::vector<SeedEvalResult> Out;
+          if (runChunk(static_cast<unsigned>(W), Begin, End, Wanted, Out)) {
+            std::move(Out.begin(), Out.end(),
+                      Evals.begin() + static_cast<size_t>(Begin - BeginSeed));
+          } else {
+            // The chunk's slots stay Ok=false: the merge skips these
+            // seeds, exactly as if they had been excluded up front.
+            LostSeeds.fetch_add(End - Begin, std::memory_order_relaxed);
+          }
+        }
+      });
+  return Evals;
+}
+
+void Coordinator::run(PhaseOneWindow &Window) {
+  // Drivers whose slot is still alive. A slot declared dead stops
+  // claiming, so the survivors take over its share of the stream; the
+  // last driver keeps claiming (and skipping) even then, so the scan
+  // always ends.
+  std::atomic<unsigned> Alive{NumWorkers};
+  Drivers.parallelFor(0, NumWorkers, [&](size_t W) {
+    auto I = static_cast<unsigned>(W);
+    bool CountedAlive = true;
+    SeedClaim Claim;
+    while (Window.claim(Claim)) {
+      std::vector<SeedEvalResult> Out;
+      if (!runChunk(I, Claim.BeginSeed, Claim.EndSeed, Claim.Wanted, Out))
+        LostSeeds.fetch_add(Claim.EndSeed - Claim.BeginSeed,
+                            std::memory_order_relaxed);
+      Window.complete(Claim, std::move(Out));
+      if (CountedAlive && Slots[I].Dead) {
+        CountedAlive = false;
+        if (Alive.fetch_sub(1, std::memory_order_acq_rel) != 1)
+          return;
+      }
     }
   });
-  return Evals;
 }

@@ -6,20 +6,22 @@
 ///
 /// \file
 /// The coordinator half of distributed Phase I (DESIGN.md §10): a
-/// ChunkEvalService that fans each wave's chunks out to a fleet of
-/// workers, serves them shared MeasurementCache lookups over the same
-/// transport, and converts worker death or timeout into skipped seeds —
-/// the chunk's slots come back Ok=false, the framework's ordered merge
-/// records them as PhaseOneResult::SkippedSeeds, and the surviving result
-/// is bit-identical to a serial run whose seed stream never contained
-/// those seeds (the ExcludeSeeds equivalence, asserted in tests and CI).
+/// ChunkEvalService whose workers each claim their next chunk from the
+/// framework's PhaseOneWindow as soon as they are free, that serves them
+/// shared MeasurementCache lookups over the same transport, and converts
+/// worker death or timeout into skipped seeds — the chunk's slots come
+/// back Ok=false, the framework's ordered merge records them as
+/// PhaseOneResult::SkippedSeeds, and the surviving result is
+/// bit-identical to a serial run whose seed stream never contained those
+/// seeds (the ExcludeSeeds equivalence, asserted in tests and CI).
 ///
 /// Worker supply is abstracted behind WorkerLauncher, so the same
 /// coordinator drives `brainy worker` subprocesses (production), plain
-/// threads (tests/benches), and — once a TCP transport exists — remote
-/// hosts. A worker that dies is respawned lazily before the next chunk it
-/// would receive; the chunk it died on is never re-dispatched, so a
-/// deterministic worker-loss fault cannot kill its replacement.
+/// threads (tests/benches), and remote `brainy worker --listen` hosts. A
+/// worker that dies is respawned lazily before its next chunk; the chunk
+/// it died on is never re-dispatched, so a deterministic worker-loss fault
+/// cannot kill its replacement. A slot declared dead stops claiming, so
+/// the surviving workers take over its share of the seed stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,12 +55,11 @@ struct WorkerConnection {
 /// not fatal; repeated failures get the slot declared dead).
 using WorkerLauncher = std::function<WorkerConnection(unsigned Slot)>;
 
-/// Drives \p NumWorkers workers as the framework's Phase I wave
-/// evaluator. Thread contract: evalWave runs chunk drivers on an internal
-/// pool, one per worker, each owning its worker's transport exclusively;
-/// the shared cache is the only cross-driver state and is internally
-/// locked. evalWave itself is called from a single thread (the
-/// framework's merge loop).
+/// Drives \p NumWorkers workers as the framework's Phase I evaluator.
+/// Thread contract: run() and evalWave() run one driver per worker on an
+/// internal pool, each owning its worker's transport exclusively; the
+/// shared cache and the window are the only cross-driver state and both
+/// are internally locked. Neither may be called while the other runs.
 class Coordinator : public ChunkEvalService {
 public:
   /// Per-reply wait before a worker is declared dead. Generous: a chunk
@@ -78,9 +79,14 @@ public:
 
   unsigned width() const override { return NumWorkers; }
 
+  /// Chunk C of the range goes to worker C % width().
   std::vector<SeedEvalResult>
   evalWave(uint64_t BeginSeed, uint64_t EndSeed,
            const std::array<bool, NumModelKinds> &Wanted) override;
+
+  /// One driver per worker claims a chunk, runs it on its worker and
+  /// completes it, until the window closes.
+  void run(PhaseOneWindow &Window) override;
 
   /// Seeds in chunks lost to worker death/timeout/spawn failure. They
   /// surface as SkippedSeeds in the framework's result; this counter
@@ -94,7 +100,8 @@ public:
     return Respawns.load(std::memory_order_relaxed);
   }
   /// Slots retired after MaxSpawnFailures consecutive spawn/reconnect
-  /// failures. A dead slot's chunks are skipped without further attempts.
+  /// failures. A dead slot claims no further chunks; only when every slot
+  /// is dead are the remaining chunks skipped.
   uint64_t declaredDead() const {
     return DeclaredDead.load(std::memory_order_relaxed);
   }
@@ -141,10 +148,10 @@ private:
   WorkerLauncher Launcher;
   int ChunkTimeoutMs;
   /// The shared (config, machine, seed, kind) cache service. Internally
-  /// locked; served concurrently by all drivers during a wave.
+  /// locked; served and fed concurrently by all drivers.
   MeasurementCache Cache;
-  /// Slot I is touched only by the driver that claimed chunk I of the
-  /// current wave — drivers partition slots, so no lock is needed.
+  /// Slot I is touched only by driver I — drivers partition slots, so no
+  /// lock is needed.
   std::vector<Slot> Slots;
   /// NumWorkers-1 threads; the calling thread participates, giving one
   /// driver per worker.

@@ -30,7 +30,7 @@
 /// Thread contract: an EventBuffer is owned by its EventSink and is
 /// single-threaded by construction — one MachineModel (and therefore one
 /// buffer) exists per evaluation, and evaluations never share models across
-/// threads (see MeasurementCache's wave contract). No locking, and no
+/// threads (each Phase I claim evaluates on one thread). No locking, and no
 /// BRAINY_GUARDED_BY capability: there is no shared state to guard.
 ///
 //===----------------------------------------------------------------------===//

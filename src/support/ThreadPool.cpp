@@ -7,6 +7,7 @@
 #include "support/ThreadPool.h"
 
 #include <atomic>
+#include <exception>
 #include <memory>
 
 using namespace brainy;
@@ -62,23 +63,6 @@ void ThreadPool::workerLoop() {
 
 void ThreadPool::parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
                                 const std::function<void(size_t, size_t)> &Fn) {
-  parallelChunksImpl(Begin, End, ChunkSize, Fn, nullptr);
-}
-
-void ThreadPool::parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
-                                const std::function<void(size_t, size_t)> &Fn,
-                                std::vector<std::exception_ptr> &Errors) {
-  Errors.clear();
-  if (Begin < End)
-    Errors.resize((End - Begin + (ChunkSize ? ChunkSize : 1) - 1) /
-                  (ChunkSize ? ChunkSize : 1));
-  parallelChunksImpl(Begin, End, ChunkSize, Fn, &Errors);
-}
-
-void ThreadPool::parallelChunksImpl(
-    size_t Begin, size_t End, size_t ChunkSize,
-    const std::function<void(size_t, size_t)> &Fn,
-    std::vector<std::exception_ptr> *Errors) {
   if (Begin >= End)
     return;
   if (ChunkSize == 0)
@@ -88,16 +72,7 @@ void ThreadPool::parallelChunksImpl(
   if (Threads.empty() || inWorker() || NumChunks == 1) {
     for (size_t C = 0; C != NumChunks; ++C) {
       size_t B = Begin + C * ChunkSize;
-      size_t E = B + ChunkSize < End ? B + ChunkSize : End;
-      if (!Errors) {
-        Fn(B, E);
-        continue;
-      }
-      try {
-        Fn(B, E);
-      } catch (...) {
-        (*Errors)[C] = std::current_exception();
-      }
+      Fn(B, B + ChunkSize < End ? B + ChunkSize : End);
     }
     return;
   }
@@ -113,9 +88,6 @@ void ThreadPool::parallelChunksImpl(
     size_t End = 0;
     size_t ChunkSize = 1;
     const std::function<void(size_t, size_t)> *Fn = nullptr;
-    /// Per-chunk capture slots; null in first-exception-rethrow mode. Each
-    /// chunk index is claimed exactly once, so slot writes are race-free.
-    std::vector<std::exception_ptr> *PerChunk = nullptr;
     Mutex DoneMutex;
     ConditionVariable Done;
     std::exception_ptr Error BRAINY_GUARDED_BY(DoneMutex);
@@ -126,7 +98,6 @@ void ThreadPool::parallelChunksImpl(
   J->End = End;
   J->ChunkSize = ChunkSize;
   J->Fn = &Fn;
-  J->PerChunk = Errors;
 
   auto RunChunks = [J] {
     for (;;) {
@@ -138,13 +109,9 @@ void ThreadPool::parallelChunksImpl(
       try {
         (*J->Fn)(B, E);
       } catch (...) {
-        if (J->PerChunk) {
-          (*J->PerChunk)[C] = std::current_exception();
-        } else {
-          MutexLock Lock(J->DoneMutex);
-          if (!J->Error)
-            J->Error = std::current_exception();
-        }
+        MutexLock Lock(J->DoneMutex);
+        if (!J->Error)
+          J->Error = std::current_exception();
       }
       if (J->DoneChunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           J->NumChunks) {

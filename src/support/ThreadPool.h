@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -66,23 +65,11 @@ public:
   void parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
                       const std::function<void(size_t, size_t)> &Fn);
 
-  /// Error-capturing variant: instead of rethrowing the first exception, a
-  /// throwing chunk is recorded at \p Errors[chunk index] (null for chunks
-  /// that succeed) and every other chunk still runs. \p Errors is resized
-  /// to the chunk count. This is the fault-isolation mode: one poisoned
-  /// item cannot abort a whole training wave.
-  void parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
-                      const std::function<void(size_t, size_t)> &Fn,
-                      std::vector<std::exception_ptr> &Errors);
-
   /// True when the calling thread is one of this pool's workers.
   bool inWorker() const;
 
 private:
   void workerLoop();
-  void parallelChunksImpl(size_t Begin, size_t End, size_t ChunkSize,
-                          const std::function<void(size_t, size_t)> &Fn,
-                          std::vector<std::exception_ptr> *Errors);
 
   /// Written only by the constructor and joined by the destructor; never
   /// mutated while workers run, so it needs no capability.

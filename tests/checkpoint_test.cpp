@@ -1,10 +1,10 @@
-//===- tests/checkpoint_test.cpp - Resumable wave checkpoints -------------===//
+//===- tests/checkpoint_test.cpp - Resumable Phase I checkpoints ----------===//
 //
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 // The checkpoint store's contracts (DESIGN.md §13):
 //
-//  * `brainy-ckpt v1` round-trips the wave loop's entire state — results,
+//  * `brainy-ckpt v1` round-trips the Phase I merge's entire state — results,
 //    next offset, stopped flag — byte-for-byte;
 //  * every corruption — bad magic/version/CRC, truncation, machine or
 //    fingerprint mismatch, malformed or out-of-order records — rejects
@@ -201,14 +201,14 @@ TEST(CheckpointFormatTest, FingerprintSeparatesRunConfigurations) {
   MachineConfig MC = MachineConfig::core2();
   uint64_t Base = checkpointFingerprint(Opts, MC, allModels(), false);
 
-  // MaxSeeds is deliberately NOT fingerprinted: a wave-boundary
+  // MaxSeeds is deliberately NOT fingerprinted: a saved prefix
   // checkpoint is valid for any seed budget (that is what makes a
   // capped partial run a faithful stand-in for a killed full run).
   TrainOptions Budget = Opts;
   Budget.MaxSeeds = 5 * Opts.MaxSeeds;
   EXPECT_EQ(checkpointFingerprint(Budget, MC, allModels(), false), Base);
 
-  // Every knob a wave decision depends on must separate.
+  // Every knob a merge decision depends on must separate.
   TrainOptions Target = Opts;
   Target.TargetPerDs += 1;
   EXPECT_NE(checkpointFingerprint(Target, MC, allModels(), false), Base);
@@ -240,14 +240,14 @@ TEST(CheckpointResumeTest, CheckpointedRunMatchesSerialAndResumesStopped) {
   TrainingFramework Serial(tinyOptions(), MC);
   ResultArray Want = Serial.phaseOneAll();
 
-  // Checkpointing forces the wave path even at Jobs=1; the ordered merge
-  // is partition-independent, so the results must not move.
+  // Checkpoint saves happen inside the ordered merge; the results must not
+  // move.
   TrainOptions Opts = tinyOptions();
   Opts.CheckpointFile = Path;
   TrainingFramework Checkpointed(Opts, MC);
   expectSameResults(Want, Checkpointed.phaseOneAll());
 
-  // The finished run committed its final wave: the checkpoint is either
+  // The finished run saved its final prefix: the checkpoint is either
   // Stopped (every family full) or parked at the seed-budget boundary.
   // Either way a rerun restores the results wholesale without consuming
   // a single fresh seed.
@@ -272,9 +272,9 @@ TEST(CheckpointResumeTest, PartialRunResumesToIdenticalResults) {
   TrainingFramework Uninterrupted(tinyOptions(), MC);
   ResultArray Want = Uninterrupted.phaseOneAll();
 
-  // Simulate a mid-run kill: cap MaxSeeds at two Jobs=1 waves. The
-  // fingerprint ignores MaxSeeds, so the committed wave boundary is a
-  // valid resume point for the full budget.
+  // Simulate a mid-run kill: cap MaxSeeds at 32. The fingerprint ignores
+  // MaxSeeds, so the saved prefix is a valid resume point for the full
+  // budget.
   TrainOptions Partial = tinyOptions();
   Partial.MaxSeeds = 32;
   Partial.CheckpointFile = Path;
@@ -291,6 +291,38 @@ TEST(CheckpointResumeTest, PartialRunResumesToIdenticalResults) {
   ASSERT_TRUE(Ck) << Ck.error().message();
   ASSERT_EQ(Ck->NextOffset, 32u) << "partial run committed the wrong boundary";
 
+  TrainingFramework Resumed(Full, MC);
+  expectSameResults(Want, Resumed.phaseOneAll());
+  std::remove(Path.c_str());
+}
+
+TEST(CheckpointResumeTest, ParallelPrefixResumesUnderAnotherJobCount) {
+  MachineConfig MC = MachineConfig::core2();
+  std::string Path = ::testing::TempDir() + "brainy_ckpt_jobs.txt";
+  std::remove(Path.c_str());
+
+  TrainingFramework Uninterrupted(tinyOptions(), MC);
+  ResultArray Want = Uninterrupted.phaseOneAll();
+
+  // A budget that is not a multiple of the save cadence (16 seeds per
+  // evaluator): the final save still lands exactly on the budget.
+  TrainOptions Partial = tinyOptions();
+  Partial.Jobs = 3;
+  Partial.MaxSeeds = 41;
+  Partial.CheckpointFile = Path;
+  TrainingFramework PartialRun(Partial, MC);
+  (void)PartialRun.phaseOneAll();
+  Expected<TrainCheckpoint> Ck = loadCheckpoint(
+      Path,
+      checkpointFingerprint(Partial, MC, allModels(),
+                            /*CountUnmatchedSeeds=*/false),
+      MC.Name);
+  ASSERT_TRUE(Ck) << Ck.error().message();
+  EXPECT_EQ(Ck->NextOffset, 41u);
+
+  TrainOptions Full = tinyOptions();
+  Full.Jobs = 2;
+  Full.CheckpointFile = Path;
   TrainingFramework Resumed(Full, MC);
   expectSameResults(Want, Resumed.phaseOneAll());
   std::remove(Path.c_str());

@@ -7,7 +7,8 @@
 //  * the wire format round-trips every message, and the frame layer
 //    rejects truncated and corrupted streams via length+CRC32;
 //  * a coordinator-driven run merges bit-identically to the serial run
-//    for any worker count;
+//    for any worker count, and what its window measures does not depend
+//    on timing;
 //  * worker loss (BRAINY_FAULT=worker:...) degrades to SkippedSeeds, and
 //    the surviving result equals a clean run with the lost seeds
 //    pre-declared in TrainOptions::ExcludeSeeds;
@@ -23,8 +24,8 @@
 //    the same ExcludeSeeds equivalence as local loss;
 //  * injected transport faults (BRAINY_FAULT=net:...) are deterministic
 //    across worker counts;
-//  * a coordinator restarted from a wave checkpoint — even with a
-//    different fleet shape — produces identical results.
+//  * a coordinator restarted from a checkpoint — even with a different
+//    fleet shape — produces identical results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -350,7 +351,7 @@ TEST(RemoteCacheTest, ShardUsesRemoteHitsWithoutEchoingThemBack) {
   EXPECT_EQ(Fetches, 1u);
   EXPECT_EQ(Measured, 0u);
   // Same seed, kind the remote lacks: measured locally, but the remote is
-  // not asked again for this seed (its map is frozen during a shard).
+  // not asked again for this seed (no other shard evaluates it).
   EXPECT_EQ(Shard.cyclesOf(7, static_cast<DsKind>(4), Measure), 5.0);
   EXPECT_EQ(Fetches, 1u);
   EXPECT_EQ(Measured, 1u);
@@ -390,6 +391,100 @@ TEST(DistributedTrainingTest, MergeIdenticalAcrossWorkerCounts) {
   }
 }
 
+/// A service that implements only evalWave, forwarding to a coordinator —
+/// the shape of a wrapper that times or logs each wave. The framework
+/// drives it through ChunkEvalService::run's default.
+class WaveOnlyService : public ChunkEvalService {
+public:
+  explicit WaveOnlyService(Coordinator &Inner) : Inner(Inner) {}
+  unsigned width() const override { return Inner.width(); }
+  std::vector<SeedEvalResult>
+  evalWave(uint64_t BeginSeed, uint64_t EndSeed,
+           const std::array<bool, NumModelKinds> &Wanted) override {
+    ++Waves;
+    return Inner.evalWave(BeginSeed, EndSeed, Wanted);
+  }
+  unsigned Waves = 0;
+
+private:
+  Coordinator &Inner;
+};
+
+TEST(DistributedTrainingTest, WaveOnlyServiceMergesIdentically) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainingFramework Serial(tinyOptions(), MC);
+  ResultArray Want = Serial.phaseOneAll();
+
+  TrainOptions Opts = tinyOptions();
+  Coordinator Coord(MC, Opts, 3, threadLauncher());
+  WaveOnlyService Waves(Coord);
+  Opts.Distribution = &Waves;
+  TrainingFramework Distributed(Opts, MC);
+  expectSameResults(Want, Distributed.phaseOneAll());
+  // 200 seeds in waves of three 16-seed chunks.
+  EXPECT_EQ(Waves.Waves, 5u);
+  EXPECT_EQ(Coord.lostSeeds(), 0u);
+}
+
+TEST(DistributedTrainingTest, FleetSpeculationIsIndependentOfTiming) {
+  // Under fixed speculation, which (seed, kind) pairs a fleet measures is a
+  // function of the options and the fleet width: two runs measure exactly
+  // the same set, and evaluate the same seeds past the stop.
+  MachineConfig MC = MachineConfig::core2();
+  std::vector<std::vector<CycleRecord>> Records;
+  std::vector<PhaseOneStats> Stats;
+  for (int Run = 0; Run != 2; ++Run) {
+    TrainOptions Opts = tinyOptions();
+    Opts.TargetPerDs = 2; // the vector family fills well before the cap
+    Coordinator Coord(MC, Opts, 3, threadLauncher());
+    Opts.Distribution = &Coord;
+    TrainingFramework FW(Opts, MC);
+    Stats.emplace_back();
+    FW.phaseOne(ModelKind::Vector, &Stats.back());
+    Records.push_back(Coord.cache().records());
+  }
+  ASSERT_LT(Stats[0].SeedsCommitted, tinyOptions().MaxSeeds)
+      << "the scan must stop early for this test to mean anything";
+  EXPECT_EQ(Stats[0].SeedsClaimed, Stats[1].SeedsClaimed);
+  EXPECT_EQ(Stats[0].SeedsCommitted, Stats[1].SeedsCommitted);
+  // At most the two chunks per worker the window admits, past the stop.
+  EXPECT_LE(Stats[0].SeedsClaimed - Stats[0].SeedsCommitted,
+            2 * 3 * PhaseOneChunk);
+  ASSERT_EQ(Records[0].size(), Records[1].size());
+  for (size_t I = 0; I != Records[0].size(); ++I) {
+    EXPECT_EQ(Records[0][I].Seed, Records[1][I].Seed);
+    EXPECT_EQ(Records[0][I].Mask, Records[1][I].Mask);
+  }
+}
+
+TEST(DistributedTrainingTest, EvalWaveCoversRangesWiderThanTheFleet) {
+  // Five chunks on two workers: each worker runs its chunks in turn, and
+  // every slot equals the local evaluation of its seed.
+  MachineConfig MC = MachineConfig::core2();
+  TrainOptions Opts = tinyOptions();
+  Coordinator Coord(MC, Opts, 2, threadLauncher());
+  std::array<bool, NumModelKinds> Wanted;
+  Wanted.fill(true);
+  const uint64_t Begin = 1, End = Begin + 5 * PhaseOneChunk - 3;
+  std::vector<SeedEvalResult> Slots = Coord.evalWave(Begin, End, Wanted);
+  ASSERT_EQ(Slots.size(), End - Begin);
+  EXPECT_EQ(Coord.lostSeeds(), 0u);
+
+  TrainingFramework Local(Opts, MC);
+  MeasurementCache::Shard Shard = Local.measurements().shard();
+  for (uint64_t Seed = Begin; Seed != End; ++Seed) {
+    std::array<SeedOutcome, NumModelKinds> Want;
+    ASSERT_TRUE(Local.tryEvalSeed(Seed, Wanted, Shard, Want));
+    const SeedEvalResult &Got = Slots[Seed - Begin];
+    ASSERT_TRUE(Got.Ok) << "seed " << Seed;
+    for (unsigned M = 0; M != NumModelKinds; ++M) {
+      EXPECT_EQ(Got.Outcomes[M].Matched, Want[M].Matched);
+      EXPECT_EQ(Got.Outcomes[M].Best, Want[M].Best);
+      EXPECT_EQ(Got.Outcomes[M].Margin, Want[M].Margin);
+    }
+  }
+}
+
 TEST(DistributedTrainingTest, ExcludedSeedsTravelToWorkers) {
   MachineConfig MC = MachineConfig::core2();
   TrainOptions Opts = tinyOptions();
@@ -412,11 +507,11 @@ TEST(DistributedTrainingTest, WarmMeasurementCacheSkipsWorkerSimulation) {
 
   // Cold distributed run: the workers measure everything (the coordinator
   // cache counts each record they stream back as fresh), then the
-  // coordinator's cache — which holds every wave's measurements — is
+  // coordinator's cache — which holds every chunk's measurements — is
   // persisted. The cold run must use the same worker count as the warm
-  // one: wave width steers how far past the early-stop point the
-  // framework speculatively evaluates, so only a same-shape rerun is
-  // guaranteed to find every measurement on disk.
+  // one: the fleet's width sets how stale a chunk's Wanted mask may be and
+  // how far past the early stop the window speculates, so only a
+  // same-shape rerun is guaranteed to find every measurement on disk.
   TrainOptions Opts = tinyOptions();
   Opts.MeasurementCacheFile = Path;
   ResultArray Want;
@@ -600,8 +695,9 @@ TEST(TcpFleetTest, UnreachableEndpointIsDeclaredDeadNotFatal) {
   MachineConfig MC = MachineConfig::core2();
 
   // Two live workers plus one endpoint nobody serves: slot 2's connects
-  // are refused, the slot is declared dead after MaxSpawnFailures retry
-  // cycles, and its chunks degrade to skipped seeds.
+  // are refused, so the chunks it claimed degrade to skipped seeds until
+  // it is declared dead after MaxSpawnFailures retry cycles. From then on
+  // it claims nothing and the live workers cover the rest of the stream.
   TcpTestFleet Fleet(2);
   std::vector<std::string> Endpoints = Fleet.Endpoints;
   Endpoints.push_back(refusedEndpoint());
@@ -622,6 +718,8 @@ TEST(TcpFleetTest, UnreachableEndpointIsDeclaredDeadNotFatal) {
   }
   EXPECT_EQ(Coord.declaredDead(), 1u);
   ASSERT_GT(Coord.lostSeeds(), 0u) << "the dead slot was never assigned work";
+  EXPECT_LE(Coord.lostSeeds(), Coordinator::MaxSpawnFailures * PhaseOneChunk)
+      << "the dead slot kept claiming chunks";
 
   std::set<uint64_t> Skipped;
   for (unsigned M = 0; M != NumModelKinds; ++M)
@@ -686,9 +784,9 @@ TEST(TcpFleetTest, CheckpointResumeAcrossFleetShapesMatchesUninterrupted) {
   TrainingFramework Serial(tinyOptions(), MC);
   ResultArray Want = Serial.phaseOneAll();
 
-  // "Kill" a fleet run mid-stream: cap MaxSeeds at a few waves. The
+  // "Kill" a fleet run mid-stream: cap MaxSeeds at four chunks. The
   // checkpoint fingerprint deliberately excludes the seed budget, so the
-  // committed wave boundary is a valid resume point for the full run.
+  // saved prefix is a valid resume point for the full run.
   {
     TcpTestFleet Fleet(2);
     TrainOptions Opts = tinyOptions();
@@ -721,7 +819,7 @@ TEST(TcpFleetTest, WarmMeasurementCacheOverTcpSkipsAllSimulation) {
   std::remove(Path.c_str());
 
   // Same shape constraint as the local warm test: cold and warm runs use
-  // the same fleet width, so the warm wave schedule only touches seeds
+  // the same fleet width, so the warm window only touches seeds
   // the cold run measured.
   TrainOptions Opts = tinyOptions();
   Opts.MeasurementCacheFile = Path;

@@ -5,7 +5,7 @@
 // Exercises the failure model of DESIGN.md §8: the error taxonomy, the
 // deterministic fault injector, hardened bundle/trainset parsing (byte
 // flips, truncation at every offset), atomic save, retry/skip semantics in
-// the training waves, and graceful recommend degradation.
+// Phase I, and graceful recommend degradation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -377,7 +377,7 @@ TEST(TrainsetRobustnessTest, WriteIsFaultGatedAndAtomic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fault-isolating training waves
+// Fault-isolating Phase I
 //===----------------------------------------------------------------------===//
 
 using ResultArray = std::array<PhaseOneResult, NumModelKinds>;

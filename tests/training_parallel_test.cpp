@@ -5,7 +5,7 @@
 // The parallel training pipeline's hard contract: any Jobs value produces
 // byte-identical results to the serial run — Phase I pairs and counters,
 // Phase II examples, trained models, GA feature selection. Plus unit tests
-// for the ThreadPool itself.
+// for the ThreadPool itself and for Phase I's ordered-commit window.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,6 +154,136 @@ TEST(TrainingParallelTest, PhaseTwoIdenticalAcrossJobs) {
     EXPECT_EQ(A[I].BestDs, B[I].BestDs);
     EXPECT_EQ(A[I].Features.Values, B[I].Features.Values);
   }
+}
+
+TEST(TrainingParallelTest, PhaseTwoAllMatchesPerFamilyPhaseTwo) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainingFramework FW(parOptions(3), MC);
+  auto P1 = FW.phaseOneAll();
+  auto All = FW.phaseTwoAll(P1);
+  for (unsigned M = 0; M != NumModelKinds; ++M) {
+    std::vector<TrainExample> One =
+        FW.phaseTwo(static_cast<ModelKind>(M), P1[M]);
+    ASSERT_EQ(All[M].size(), One.size()) << "family " << M;
+    for (size_t I = 0; I != One.size(); ++I) {
+      EXPECT_EQ(All[M][I].Seed, One[I].Seed);
+      EXPECT_EQ(All[M][I].BestDs, One[I].BestDs);
+      EXPECT_EQ(All[M][I].Features.Values, One[I].Features.Values);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The ordered-commit window
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A single-threaded service that hands the window's claims back in the
+/// worst order: it takes a whole window's worth of chunks, evaluates them,
+/// and completes them newest first, so every commit but the last finds its
+/// predecessor missing.
+class ReversingService : public ChunkEvalService {
+public:
+  ReversingService(const TrainingFramework &Evaluator, unsigned Width)
+      : Evaluator(Evaluator), Width(Width) {}
+
+  unsigned width() const override { return Width; }
+
+  std::vector<SeedEvalResult>
+  evalWave(uint64_t, uint64_t,
+           const std::array<bool, NumModelKinds> &) override {
+    ADD_FAILURE() << "the window never needs a wave";
+    return {};
+  }
+
+  void run(PhaseOneWindow &Window) override {
+    MeasurementCache::Shard Shard = Evaluator.measurements().shard();
+    for (;;) {
+      std::vector<SeedClaim> Claims;
+      SeedClaim Claim;
+      while (Claims.size() != Window.depth() && Window.claim(Claim))
+        Claims.push_back(Claim);
+      if (Claims.empty())
+        return;
+      MaxInFlight = std::max<size_t>(MaxInFlight, Claims.size());
+      for (auto It = Claims.rbegin(); It != Claims.rend(); ++It) {
+        std::vector<SeedEvalResult> Slots(It->EndSeed - It->BeginSeed);
+        for (uint64_t Seed = It->BeginSeed; Seed != It->EndSeed; ++Seed) {
+          SeedEvalResult &Slot = Slots[Seed - It->BeginSeed];
+          Slot.Ok = Evaluator.tryEvalSeed(Seed, It->Wanted, Shard,
+                                          Slot.Outcomes);
+        }
+        Window.complete(*It, std::move(Slots));
+      }
+    }
+  }
+
+  size_t MaxInFlight = 0;
+
+private:
+  const TrainingFramework &Evaluator;
+  unsigned Width;
+};
+
+} // namespace
+
+TEST(PhaseOneWindowTest, OutOfOrderCompletionMergesInSeedOrder) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainingFramework Serial(parOptions(1), MC);
+  auto Want = Serial.phaseOneAll();
+
+  TrainingFramework Evaluator(parOptions(1), MC);
+  ReversingService Service(Evaluator, 3);
+  TrainOptions Opts = parOptions(1);
+  Opts.Distribution = &Service;
+  TrainingFramework FW(Opts, MC);
+  PhaseOneStats Stats;
+  auto Got = FW.phaseOneAll(&Stats);
+  for (unsigned M = 0; M != NumModelKinds; ++M)
+    expectSameResult(Want[M], Got[M]);
+  // The window admitted two chunks per evaluator, never more.
+  EXPECT_EQ(Service.MaxInFlight, 6u);
+  EXPECT_GE(Stats.SeedsClaimed, Stats.SeedsCommitted);
+  EXPECT_LE(Stats.SeedsClaimed - Stats.SeedsCommitted, 6 * PhaseOneChunk);
+}
+
+namespace {
+
+/// A single-family scan that fills up well before its seed cap.
+TrainOptions stoppingOptions(unsigned Jobs) {
+  TrainOptions Opts = parOptions(Jobs);
+  Opts.TargetPerDs = 2;
+  return Opts;
+}
+
+} // namespace
+
+TEST(PhaseOneWindowTest, SerialScanEvaluatesNothingPastTheStop) {
+  MachineConfig MC = MachineConfig::core2();
+  TrainingFramework FW(stoppingOptions(1), MC);
+  PhaseOneStats Stats;
+  FW.phaseOne(ModelKind::Vector, &Stats);
+  ASSERT_LT(Stats.SeedsCommitted, stoppingOptions(1).MaxSeeds)
+      << "the scan must stop early for this test to mean anything";
+  EXPECT_EQ(Stats.SeedsClaimed, Stats.SeedsCommitted);
+  EXPECT_EQ(Stats.IdleSeconds, 0.0);
+}
+
+TEST(PhaseOneWindowTest, LocalSpeculationEndsAtTheStop) {
+  // Local evaluators stop claiming when every family is full, so what they
+  // evaluated past the stop is at most what the window held.
+  MachineConfig MC = MachineConfig::core2();
+  constexpr unsigned Jobs = 4;
+  TrainingFramework Serial(stoppingOptions(1), MC);
+  TrainingFramework Parallel(stoppingOptions(Jobs), MC);
+  PhaseOneResult Want = Serial.phaseOne(ModelKind::Vector);
+  PhaseOneStats Stats;
+  expectSameResult(Want, Parallel.phaseOne(ModelKind::Vector, &Stats));
+  ASSERT_LT(Stats.SeedsCommitted, stoppingOptions(Jobs).MaxSeeds);
+  EXPECT_GE(Stats.SeedsClaimed, Stats.SeedsCommitted);
+  EXPECT_LE(Stats.SeedsClaimed - Stats.SeedsCommitted,
+            PhaseOneLookahead * (Jobs - 1));
 }
 
 TEST(TrainingParallelTest, MeasurementCachePersistsAcrossCalls) {

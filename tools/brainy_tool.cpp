@@ -265,9 +265,9 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
   // Set before the Coordinator is built: the coordinator preloads the
   // same file so warm distributed runs skip worker-side simulation too.
   Opts.MeasurementCacheFile = A.get("measurement-cache");
-  // Resumable Phase I (DESIGN.md §13): every merged wave is committed to
-  // this file; a killed run rerun with the same flags resumes from the
-  // last wave boundary and emits a byte-identical bundle.
+  // Resumable Phase I (DESIGN.md §13): the merged prefix is committed to
+  // this file as the scan advances; a killed run rerun with the same flags
+  // resumes from the last saved offset and emits a byte-identical bundle.
   Opts.CheckpointFile = A.get("checkpoint");
   // --workers N shards over local `brainy worker` subprocesses;
   // --workers host:port,... connects to a fleet of `brainy worker
@@ -313,7 +313,15 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
                Machine.Name.c_str(), Opts.TargetPerDs,
                (unsigned long long)Opts.MaxSeeds, resolveJobs(Opts.Jobs),
                Workers);
-  Brainy B = Brainy::train(Opts, Machine);
+  PhaseOneStats Phase1;
+  Brainy B = Brainy::train(Opts, Machine, &Phase1);
+  std::fprintf(stderr,
+               "phase I: %llu seed(s) merged, %llu evaluated past the stop, "
+               "evaluators waited %.2f s for the window\n",
+               (unsigned long long)Phase1.SeedsCommitted,
+               (unsigned long long)(Phase1.SeedsClaimed -
+                                    Phase1.SeedsCommitted),
+               Phase1.IdleSeconds);
   if (Coord)
     std::fprintf(stderr,
                  "distributed: %llu seeds lost to worker failures, "
