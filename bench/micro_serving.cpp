@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,7 +166,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  const std::string BundlePath = "micro_serving_core2.models";
+  const std::string BundlePath =
+      (std::filesystem::temp_directory_path() / "micro_serving_core2.models")
+          .string();
   NetConfig Net; // production width, so the forward pass is realistic
   if (Error E = writeSyntheticBundle(BundlePath, "core2", "bench",
                                      /*WinnerIndex=*/2, Net.HiddenUnits)) {

@@ -6,20 +6,13 @@
 
 #include "analysis/Patcher.h"
 
-#include "support/FaultInjector.h"
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 using namespace brainy;
 using namespace brainy::analysis;
 
 namespace {
-
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
 
 std::vector<std::string> splitLines(const std::string &Text) {
   std::vector<std::string> Lines;
@@ -115,37 +108,4 @@ std::string brainy::analysis::unifiedDiff(const std::string &Before,
   for (size_t I = A.size() - Suf; I != AEnd; ++I)
     Out += " " + A[I] + "\n";
   return Out;
-}
-
-Error brainy::analysis::saveFileAtomic(const std::string &Path,
-                                       const std::string &Content) {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Content.data(), 1, Content.size(), F) ==
-            Content.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
-  return Error::success();
 }

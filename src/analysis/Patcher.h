@@ -7,11 +7,10 @@
 /// \file
 /// The bottom layer of `brainy apply` (DESIGN.md §14): given byte-span
 /// edits computed from lexer token offsets, splice them into the original
-/// source, render a unified diff for review, and write results with the
-/// same atomic io-fault-salted save discipline as the model-bundle and
-/// measurement-store writers. The patcher knows nothing about C++ or
-/// containers — overlap detection, dedup, and splicing only — so every
-/// policy decision stays in the planner (Rewrite.h) where it can be
+/// source and render a unified diff for review; results are written by
+/// support/FramedFile's writeFileAtomic. The patcher knows nothing about
+/// C++ or containers — overlap detection, dedup, and splicing only — so
+/// every policy decision stays in the planner (Rewrite.h) where it can be
 /// verified by re-analysis.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,12 +51,6 @@ Expected<std::string> applyEdits(const std::string &Src,
 std::string unifiedDiff(const std::string &Before, const std::string &After,
                         const std::string &FromName,
                         const std::string &ToName);
-
-/// Atomically writes \p Content to \p Path: write to Path.tmp, flush,
-/// rename over. Salted io-fault probes (BRAINY_FAULT=io:...) cover the
-/// write and the rename separately, and a failure at either point leaves
-/// any pre-existing file at \p Path untouched.
-Error saveFileAtomic(const std::string &Path, const std::string &Content);
 
 } // namespace analysis
 } // namespace brainy

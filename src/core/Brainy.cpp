@@ -7,13 +7,10 @@
 #include "core/Brainy.h"
 
 #include "core/MeasurementStore.h"
-#include "support/Crc32.h"
-#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 using namespace brainy;
 
@@ -21,12 +18,6 @@ namespace {
 
 constexpr const char *BundleMagic = "brainy-bundle";
 constexpr const char *BundleVersion = "v2";
-
-/// I/O-step salts for the FileIo fault site, so `io` faults can hit reads,
-/// writes, and the commit rename independently but deterministically.
-constexpr uint64_t IoSaltRead = 0;
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
 
 } // namespace
 
@@ -195,66 +186,32 @@ std::string Brainy::toString() const {
   std::string Payload;
   for (const BrainyModel &Model : Models)
     Payload += Model.toString();
+  return frameBundle(MachineName, Tag, Payload);
+}
 
-  char Buf[96];
-  std::string Out = std::string(BundleMagic) + " " + BundleVersion + "\n";
-  Out += "machine " + MachineName + "\n";
-  Out += "tag " + Tag + "\n";
-  std::snprintf(Buf, sizeof(Buf), "features %u\n", NumFeatures);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "models %u\n", NumModelKinds);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+std::string Brainy::frameBundle(const std::string &Machine,
+                                const std::string &Tag,
+                                const std::string &Payload) {
+  return frame(BundleMagic, BundleVersion,
+               {{"machine", Machine},
+                {"tag", Tag},
+                {"features", std::to_string(NumFeatures)},
+                {"models", std::to_string(NumModelKinds)}},
+               Payload);
 }
 
 Error Brainy::parse(const std::string &Text, Brainy &Out) {
-  if (Text.empty())
-    return Error(ErrCode::Truncated, "empty bundle");
+  std::string FeatureField, ModelField, Payload;
+  if (Error E = unframe(Text, BundleMagic, BundleVersion,
+                        {{"machine", &Out.MachineName},
+                         {"tag", &Out.Tag},
+                         {"features", &FeatureField},
+                         {"models", &ModelField}},
+                        Payload))
+    return E;
 
-  size_t Pos = 0;
-  auto TakeLine = [&Text, &Pos](std::string &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return true;
-  };
-
-  std::string Line;
-  TakeLine(Line);
-  size_t Space = Line.find(' ');
-  if (Line.substr(0, Space) != BundleMagic)
-    return Error(ErrCode::BadMagic, "not a brainy model bundle");
-  std::string Version =
-      Space == std::string::npos ? "" : Line.substr(Space + 1);
-  if (Version != BundleVersion)
-    return Error(ErrCode::BadVersion, "bundle version '" + Version +
-                                          "', this build reads '" +
-                                          BundleVersion + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'machine'");
-  if (Line.rfind("machine ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'machine <name>'");
-  Out.MachineName = Line.substr(8);
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'tag'");
-  if (Line.rfind("tag ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'tag <tag>'");
-  Out.Tag = Line.substr(4);
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'features'");
   unsigned Features = 0;
-  if (std::sscanf(Line.c_str(), "features %u", &Features) != 1)
+  if (std::sscanf(FeatureField.c_str(), "%u", &Features) != 1)
     return Error(ErrCode::BadFormat, "expected 'features <count>'");
   if (Features != NumFeatures)
     return Error(ErrCode::FeatureMismatch,
@@ -262,46 +219,14 @@ Error Brainy::parse(const std::string &Text, Brainy &Out) {
                      " features, this build expects " +
                      std::to_string(NumFeatures));
 
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'models'");
   unsigned ModelCount = 0;
-  if (std::sscanf(Line.c_str(), "models %u", &ModelCount) != 1)
+  if (std::sscanf(ModelField.c_str(), "%u", &ModelCount) != 1)
     return Error(ErrCode::BadFormat, "expected 'models <count>'");
   if (ModelCount != NumModelKinds)
     return Error(ErrCode::BadFormat,
                  "bundle has " + std::to_string(ModelCount) +
                      " models, this build expects " +
                      std::to_string(NumModelKinds));
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'payload'");
-  unsigned long long PayloadSize = 0;
-  uint32_t WantCrc = 0;
-  if (std::sscanf(Line.c_str(), "payload %llu crc32 %8" SCNx32,
-                  &PayloadSize, &WantCrc) != 2)
-    return Error(ErrCode::BadFormat,
-                 "expected 'payload <size> crc32 <hex>'");
-
-  size_t Remaining = Text.size() - Pos;
-  if (Remaining < PayloadSize)
-    return Error(ErrCode::Truncated,
-                 "payload is " + std::to_string(Remaining) +
-                     " bytes, header declares " +
-                     std::to_string(PayloadSize));
-  if (Remaining > PayloadSize)
-    return Error(ErrCode::BadFormat,
-                 std::to_string(Remaining - PayloadSize) +
-                     " trailing bytes after payload");
-
-  std::string Payload = Text.substr(Pos);
-  uint32_t GotCrc = crc32(Payload);
-  if (GotCrc != WantCrc) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "payload crc32 %08" PRIx32 ", header says %08" PRIx32,
-                  GotCrc, WantCrc);
-    return Error(ErrCode::BadChecksum, Buf);
-  }
 
   size_t MPos = 0;
   std::array<bool, NumModelKinds> Seen{};
@@ -329,57 +254,15 @@ Error Brainy::parse(const std::string &Text, Brainy &Out) {
 }
 
 Error Brainy::save(const std::string &Path) const {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  std::string Text = toString();
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  // Simulated crash between write and commit: the temp file is discarded
-  // and the previous bundle (if any) stays intact.
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
-  return Error::success();
+  return writeFileAtomic(Path, toString());
 }
 
 Expected<Brainy> Brainy::load(const std::string &Path) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), IoSaltRead))
-    return Error(ErrCode::FaultInjected, "reading '" + Path + "'");
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Path + "': " + std::strerror(errno));
-  std::string Text;
-  char Buf[8192];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
   Brainy Out;
-  if (Error E = parse(Text, Out))
+  if (Error E = parse(*Text, Out))
     return E.withPrefix("bundle '" + Path + "'");
   return Out;
 }
@@ -399,20 +282,4 @@ Expected<Brainy> Brainy::load(const std::string &Path,
                                            B->Tag + "', want '" + ExpectTag +
                                            "'");
   return B;
-}
-
-bool Brainy::fromString(const std::string &Text, Brainy &Out) {
-  return !parse(Text, Out);
-}
-
-bool Brainy::saveFile(const std::string &Path) const {
-  return !save(Path);
-}
-
-bool Brainy::loadFile(const std::string &Path, Brainy &Out) {
-  Expected<Brainy> B = load(Path);
-  if (!B)
-    return false;
-  Out = std::move(*B);
-  return true;
 }

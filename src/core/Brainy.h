@@ -123,10 +123,16 @@ public:
   void setStrict(bool Value) { Strict = Value; }
   bool strict() const { return Strict; }
 
-  /// Whole-bundle persistence. toString emits the v2 format: a header
-  /// (magic+version, machine, tag, feature count, model count, payload
-  /// size + CRC32) followed by the six model sections.
+  /// Whole-bundle persistence. toString emits the v2 format: a
+  /// support/FramedFile frame (`brainy-bundle v2`; machine, tag, feature
+  /// count and model count fields) around the six model sections.
   std::string toString() const;
+
+  /// The bundle frame toString puts around \p Payload, the concatenated
+  /// model sections — also how hand-built bundles get their header.
+  static std::string frameBundle(const std::string &Machine,
+                                 const std::string &Tag,
+                                 const std::string &Payload);
 
   /// Parses and validates a v2 bundle; on any defect \p Out is left
   /// partially written but the Error tells the caller not to use it.
@@ -144,11 +150,6 @@ public:
   static Expected<Brainy> load(const std::string &Path,
                                const std::string &ExpectMachine,
                                const std::string &ExpectTag);
-
-  /// Boolean conveniences over parse/save/load.
-  static bool fromString(const std::string &Text, Brainy &Out);
-  bool saveFile(const std::string &Path) const;
-  static bool loadFile(const std::string &Path, Brainy &Out);
 
 private:
   std::array<BrainyModel, NumModelKinds> Models;

@@ -7,14 +7,10 @@
 #include "core/Checkpoint.h"
 
 #include "core/MeasurementStore.h"
-#include "support/Crc32.h"
-#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
@@ -22,39 +18,6 @@ namespace {
 
 constexpr const char *CkptMagic = "brainy-ckpt";
 constexpr const char *CkptVersion = "v1";
-
-/// Same I/O-step salts as bundle/mcache persistence, so one
-/// `BRAINY_FAULT=io:...` spec exercises every store's failure paths.
-constexpr uint64_t IoSaltRead = 0;
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
-
-/// FNV-1a-64 absorb (the mcache idiom: integers as decimal text, doubles
-/// as %a hex floats, '|' separators so adjacent fields cannot alias).
-void fnv(uint64_t &H, const void *Data, size_t Size) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-}
-
-void fnvStr(uint64_t &H, const std::string &S) {
-  fnv(H, S.data(), S.size());
-  fnv(H, "|", 1);
-}
-
-void fnvInt(uint64_t &H, uint64_t V) {
-  char Buf[24];
-  int N = std::snprintf(Buf, sizeof(Buf), "%" PRIu64 "|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
-
-void fnvDouble(uint64_t &H, double V) {
-  char Buf[40];
-  int N = std::snprintf(Buf, sizeof(Buf), "%a|", V);
-  fnv(H, Buf, static_cast<size_t>(N));
-}
 
 } // namespace
 
@@ -106,147 +69,59 @@ std::string brainy::checkpointToString(const TrainCheckpoint &Ck,
     }
   }
 
-  std::string Out = std::string(CkptMagic) + " " + CkptVersion + "\n";
-  Out += "machine " + MachineName + "\n";
-  std::snprintf(Buf, sizeof(Buf), "fingerprint %016" PRIx64 "\n",
-                Fingerprint);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "next %" PRIu64 " stopped %d\n",
-                Ck.NextOffset, Ck.Stopped ? 1 : 0);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+  std::snprintf(Buf, sizeof(Buf), "%" PRIu64 " stopped %d", Ck.NextOffset,
+                Ck.Stopped ? 1 : 0);
+  return frame(CkptMagic, CkptVersion,
+               {{"machine", MachineName},
+                {"fingerprint", fingerprintField(Fingerprint)},
+                {"next", Buf}},
+               Payload);
 }
 
 Error brainy::saveCheckpoint(const std::string &Path,
                              const TrainCheckpoint &Ck, uint64_t Fingerprint,
                              const std::string &MachineName) {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Text = checkpointToString(Ck, Fingerprint, MachineName);
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  // The rename is the commit point: a kill at any instant leaves either
-  // the previous complete checkpoint or the new one, never a torn file.
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
-  return Error::success();
+  return writeFileAtomic(Path,
+                         checkpointToString(Ck, Fingerprint, MachineName));
 }
 
 Expected<TrainCheckpoint>
 brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
                         const std::string &MachineName) {
-  if (Text.empty())
-    return Error(ErrCode::Truncated, "empty checkpoint");
-
-  size_t Pos = 0;
-  auto TakeLine = [&Text, &Pos](std::string &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return true;
-  };
-
-  std::string Line;
-  TakeLine(Line);
-  size_t Space = Line.find(' ');
-  if (Line.substr(0, Space) != CkptMagic)
-    return Error(ErrCode::BadMagic, "not a brainy checkpoint");
-  std::string Version =
-      Space == std::string::npos ? "" : Line.substr(Space + 1);
-  if (Version != CkptVersion)
-    return Error(ErrCode::BadVersion, "checkpoint version '" + Version +
-                                          "', this build reads '" +
-                                          CkptVersion + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'machine'");
-  if (Line.rfind("machine ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'machine <name>'");
-  std::string FileMachine = Line.substr(8);
+  std::string FileMachine, FileFingerprint, Next, Payload;
+  if (Error E = unframe(Text, CkptMagic, CkptVersion,
+                        {{"machine", &FileMachine},
+                         {"fingerprint", &FileFingerprint},
+                         {"next", &Next}},
+                        Payload))
+    return E;
   if (FileMachine != MachineName)
     return Error(ErrCode::MachineMismatch, "checkpoint recorded on '" +
                                                FileMachine + "', want '" +
                                                MachineName + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'fingerprint'");
-  uint64_t FileFp = 0;
-  if (std::sscanf(Line.c_str(), "fingerprint %16" SCNx64, &FileFp) != 1)
-    return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
-  if (FileFp != Fingerprint) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
-                  FileFp, Fingerprint);
-    return Error(ErrCode::TagMismatch, Buf);
-  }
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'next'");
+  if (Error E = checkFingerprint(FileFingerprint, Fingerprint))
+    return E;
   TrainCheckpoint Ck;
   int StoppedInt = -1;
-  if (std::sscanf(Line.c_str(), "next %" SCNu64 " stopped %d", &Ck.NextOffset,
+  if (std::sscanf(Next.c_str(), "%" SCNu64 " stopped %d", &Ck.NextOffset,
                   &StoppedInt) != 2 ||
       (StoppedInt != 0 && StoppedInt != 1))
     return Error(ErrCode::BadFormat, "expected 'next <offset> stopped <0|1>'");
   Ck.Stopped = StoppedInt == 1;
 
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'payload'");
-  unsigned long long PayloadSize = 0;
-  uint32_t WantCrc = 0;
-  if (std::sscanf(Line.c_str(), "payload %llu crc32 %8" SCNx32, &PayloadSize,
-                  &WantCrc) != 2)
-    return Error(ErrCode::BadFormat, "expected 'payload <size> crc32 <hex>'");
+  size_t Pos = 0;
+  auto TakeLine = [&Payload, &Pos](std::string &Line) {
+    if (Pos >= Payload.size())
+      return false;
+    size_t Eol = Payload.find('\n', Pos);
+    if (Eol == std::string::npos)
+      Eol = Payload.size();
+    Line = Payload.substr(Pos, Eol - Pos);
+    Pos = Eol + 1;
+    return true;
+  };
 
-  size_t Remaining = Text.size() - Pos;
-  if (Remaining < PayloadSize)
-    return Error(ErrCode::Truncated,
-                 "payload is " + std::to_string(Remaining) +
-                     " bytes, header declares " +
-                     std::to_string(PayloadSize));
-  if (Remaining > PayloadSize)
-    return Error(ErrCode::BadFormat, std::to_string(Remaining - PayloadSize) +
-                                         " trailing bytes after payload");
-
-  uint32_t GotCrc = crc32(Text.data() + Pos, Remaining);
-  if (GotCrc != WantCrc) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "payload crc32 %08" PRIx32 ", header says %08" PRIx32,
-                  GotCrc, WantCrc);
-    return Error(ErrCode::BadChecksum, Buf);
-  }
-
+  std::string Line;
   // Parse the per-family sections, validating everything — counts, kind
   // ranges, seed ordering — before the checkpoint is handed to a caller.
   for (unsigned M = 0; M != NumModelKinds; ++M) {
@@ -295,7 +170,7 @@ brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
       R.SkippedSeeds.push_back(Seed);
     }
   }
-  if (Pos < Text.size())
+  if (Pos < Payload.size())
     return Error(ErrCode::BadFormat, "trailing lines after last family");
   return Ck;
 }
@@ -303,23 +178,11 @@ brainy::parseCheckpoint(const std::string &Text, uint64_t Fingerprint,
 Expected<TrainCheckpoint>
 brainy::loadCheckpoint(const std::string &Path, uint64_t Fingerprint,
                        const std::string &MachineName) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), IoSaltRead))
-    return Error(ErrCode::FaultInjected, "reading '" + Path + "'");
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Path + "': " + std::strerror(errno));
-  std::string Text;
-  char Buf[8192];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
   Expected<TrainCheckpoint> Ck =
-      parseCheckpoint(Text, Fingerprint, MachineName);
+      parseCheckpoint(*Text, Fingerprint, MachineName);
   if (!Ck)
     return Ck.error().withPrefix("checkpoint '" + Path + "'");
   return Ck;

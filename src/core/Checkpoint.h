@@ -13,8 +13,8 @@
 /// win-count array is not stored: every recorded (seed, bestDS) pair
 /// incremented it exactly once, so it is rebuilt from the pairs on load.
 ///
-/// File format (`brainy-ckpt v1`), hardened like the model bundle and the
-/// measurement cache:
+/// File format (`brainy-ckpt v1`), a support/FramedFile frame like the
+/// model bundle and the measurement cache:
 ///
 ///   brainy-ckpt v1
 ///   machine <name>
@@ -77,9 +77,9 @@ uint64_t checkpointFingerprint(const TrainOptions &Options,
 std::string checkpointToString(const TrainCheckpoint &Ck, uint64_t Fingerprint,
                                const std::string &MachineName);
 
-/// Atomically writes \p Ck to \p Path (temp file + rename, `io` fault
-/// salts shared with bundle/mcache persistence). A failed save costs
-/// resumability, never correctness — callers log and continue.
+/// Atomically writes \p Ck to \p Path (support/FramedFile's temp file +
+/// rename). A failed save costs resumability, never correctness —
+/// callers log and continue.
 Error saveCheckpoint(const std::string &Path, const TrainCheckpoint &Ck,
                      uint64_t Fingerprint, const std::string &MachineName);
 

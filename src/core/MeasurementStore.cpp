@@ -6,14 +6,12 @@
 
 #include "core/MeasurementStore.h"
 
-#include "support/Crc32.h"
-#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
@@ -21,12 +19,6 @@ namespace {
 
 constexpr const char *StoreMagic = "brainy-mcache";
 constexpr const char *StoreVersion = "v1";
-
-/// Same I/O-step salts as Brainy bundle persistence, so one
-/// `BRAINY_FAULT=io:...` spec exercises both stores' failure paths.
-constexpr uint64_t IoSaltRead = 0;
-constexpr uint64_t IoSaltWrite = 1;
-constexpr uint64_t IoSaltRename = 2;
 
 /// FNV-1a-64 absorb.
 void fnv(uint64_t &H, const void *Data, size_t Size) {
@@ -37,12 +29,14 @@ void fnv(uint64_t &H, const void *Data, size_t Size) {
   }
 }
 
-void fnvStr(uint64_t &H, const std::string &S) {
+} // namespace
+
+void brainy::fnvStr(uint64_t &H, const std::string &S) {
   fnv(H, S.data(), S.size());
   fnv(H, "|", 1);
 }
 
-void fnvInt(uint64_t &H, uint64_t V) {
+void brainy::fnvInt(uint64_t &H, uint64_t V) {
   char Buf[24];
   int N = std::snprintf(Buf, sizeof(Buf), "%" PRIu64 "|", V);
   fnv(H, Buf, static_cast<size_t>(N));
@@ -50,13 +44,30 @@ void fnvInt(uint64_t &H, uint64_t V) {
 
 /// Doubles are hashed by their %a rendering: exact bit pattern, no
 /// locale/rounding ambiguity.
-void fnvDouble(uint64_t &H, double V) {
+void brainy::fnvDouble(uint64_t &H, double V) {
   char Buf[40];
   int N = std::snprintf(Buf, sizeof(Buf), "%a|", V);
   fnv(H, Buf, static_cast<size_t>(N));
 }
 
-} // namespace
+std::string brainy::fingerprintField(uint64_t Fingerprint) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fingerprint);
+  return Buf;
+}
+
+Error brainy::checkFingerprint(const std::string &Field, uint64_t Want) {
+  uint64_t Got = 0;
+  if (std::sscanf(Field.c_str(), "%16" SCNx64, &Got) != 1)
+    return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
+  if (Got == Want)
+    return Error::success();
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf),
+                "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
+                Got, Want);
+  return Error(ErrCode::TagMismatch, Buf);
+}
 
 uint64_t brainy::measurementFingerprint(const AppConfig &Gen,
                                         const MachineConfig &Machine) {
@@ -113,18 +124,12 @@ std::string brainy::measurementsToString(const MeasurementCache &Cache,
     Payload += '\n';
   }
 
-  std::string Out = std::string(StoreMagic) + " " + StoreVersion + "\n";
-  Out += "machine " + Machine.Name + "\n";
-  std::snprintf(Buf, sizeof(Buf), "fingerprint %016" PRIx64 "\n",
-                measurementFingerprint(Gen, Machine));
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "records %zu\n", Records.size());
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+  return frame(StoreMagic, StoreVersion,
+               {{"machine", Machine.Name},
+                {"fingerprint",
+                 fingerprintField(measurementFingerprint(Gen, Machine))},
+                {"records", std::to_string(Records.size())}},
+               Payload);
 }
 
 Error brainy::saveMeasurements(const std::string &Path,
@@ -132,34 +137,9 @@ Error brainy::saveMeasurements(const std::string &Path,
                                const AppConfig &Gen,
                                const MachineConfig &Machine,
                                size_t *SavedOut) {
-  FaultInjector &FI = FaultInjector::instance();
-  uint64_t PathKey = FaultInjector::keyFor(Path);
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltWrite))
-    return Error(ErrCode::FaultInjected, "writing '" + Path + "'");
-
-  std::string Text = measurementsToString(Cache, Gen, Machine);
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Tmp + "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "short write to '" + Tmp + "'");
-  }
-  if (FI.shouldFail(FaultSite::FileIo, PathKey, IoSaltRename)) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::FaultInjected,
-                 "renaming '" + Tmp + "' over '" + Path + "'");
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Error(ErrCode::IoError, "cannot rename '" + Tmp + "' to '" +
-                                       Path + "': " + std::strerror(errno));
-  }
+  if (Error E =
+          writeFileAtomic(Path, measurementsToString(Cache, Gen, Machine)))
+    return E;
   if (SavedOut)
     *SavedOut = Cache.seeds();
   return Error::success();
@@ -169,91 +149,23 @@ Expected<size_t> brainy::parseMeasurements(const std::string &Text,
                                            MeasurementCache &Cache,
                                            const AppConfig &Gen,
                                            const MachineConfig &Machine) {
-  if (Text.empty())
-    return Error(ErrCode::Truncated, "empty measurement cache");
-
-  size_t Pos = 0;
-  auto TakeLine = [&Text, &Pos](std::string &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return true;
-  };
-
-  std::string Line;
-  TakeLine(Line);
-  size_t Space = Line.find(' ');
-  if (Line.substr(0, Space) != StoreMagic)
-    return Error(ErrCode::BadMagic, "not a brainy measurement cache");
-  std::string Version =
-      Space == std::string::npos ? "" : Line.substr(Space + 1);
-  if (Version != StoreVersion)
-    return Error(ErrCode::BadVersion, "measurement cache version '" +
-                                          Version + "', this build reads '" +
-                                          StoreVersion + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'machine'");
-  if (Line.rfind("machine ", 0) != 0)
-    return Error(ErrCode::BadFormat, "expected 'machine <name>'");
-  std::string FileMachine = Line.substr(8);
+  std::string FileMachine, Fingerprint, RecordCount, Payload;
+  if (Error E = unframe(Text, StoreMagic, StoreVersion,
+                        {{"machine", &FileMachine},
+                         {"fingerprint", &Fingerprint},
+                         {"records", &RecordCount}},
+                        Payload))
+    return E;
   if (FileMachine != Machine.Name)
     return Error(ErrCode::MachineMismatch,
                  "measurements recorded on '" + FileMachine + "', want '" +
                      Machine.Name + "'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'fingerprint'");
-  uint64_t FileFp = 0;
-  if (std::sscanf(Line.c_str(), "fingerprint %16" SCNx64, &FileFp) != 1)
-    return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
-  uint64_t WantFp = measurementFingerprint(Gen, Machine);
-  if (FileFp != WantFp) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
-                  FileFp, WantFp);
-    return Error(ErrCode::TagMismatch, Buf);
-  }
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'records'");
+  if (Error E =
+          checkFingerprint(Fingerprint, measurementFingerprint(Gen, Machine)))
+    return E;
   unsigned long long WantRecords = 0;
-  if (std::sscanf(Line.c_str(), "records %llu", &WantRecords) != 1)
+  if (std::sscanf(RecordCount.c_str(), "%llu", &WantRecords) != 1)
     return Error(ErrCode::BadFormat, "expected 'records <count>'");
-
-  if (!TakeLine(Line))
-    return Error(ErrCode::Truncated, "header ends before 'payload'");
-  unsigned long long PayloadSize = 0;
-  uint32_t WantCrc = 0;
-  if (std::sscanf(Line.c_str(), "payload %llu crc32 %8" SCNx32,
-                  &PayloadSize, &WantCrc) != 2)
-    return Error(ErrCode::BadFormat, "expected 'payload <size> crc32 <hex>'");
-
-  size_t Remaining = Text.size() - Pos;
-  if (Remaining < PayloadSize)
-    return Error(ErrCode::Truncated,
-                 "payload is " + std::to_string(Remaining) +
-                     " bytes, header declares " +
-                     std::to_string(PayloadSize));
-  if (Remaining > PayloadSize)
-    return Error(ErrCode::BadFormat,
-                 std::to_string(Remaining - PayloadSize) +
-                     " trailing bytes after payload");
-
-  std::string Payload = Text.substr(Pos);
-  uint32_t GotCrc = crc32(Payload);
-  if (GotCrc != WantCrc) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "payload crc32 %08" PRIx32 ", header says %08" PRIx32,
-                  GotCrc, WantCrc);
-    return Error(ErrCode::BadChecksum, Buf);
-  }
 
   // Validate every record before touching the cache, so a malformed line
   // cannot leave a half-restored cache behind.
@@ -314,22 +226,10 @@ Expected<size_t> brainy::loadMeasurements(const std::string &Path,
                                           MeasurementCache &Cache,
                                           const AppConfig &Gen,
                                           const MachineConfig &Machine) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), IoSaltRead))
-    return Error(ErrCode::FaultInjected, "reading '" + Path + "'");
-
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error(ErrCode::IoError,
-                 "cannot open '" + Path + "': " + std::strerror(errno));
-  std::string Text;
-  char Buf[8192];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-
-  Expected<size_t> Count = parseMeasurements(Text, Cache, Gen, Machine);
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  Expected<size_t> Count = parseMeasurements(*Text, Cache, Gen, Machine);
   if (!Count)
     return Count.error().withPrefix("measurement cache '" + Path + "'");
   return Count;

@@ -12,7 +12,8 @@
 /// --jobs/--workers variants, and CI reruns then skip Phase I simulation
 /// entirely and still produce byte-identical bundles.
 ///
-/// File format (`brainy-mcache v1`), hardened like the model bundle:
+/// File format (`brainy-mcache v1`), a support/FramedFile frame like the
+/// model bundle:
 ///
 ///   brainy-mcache v1
 ///   machine <name>
@@ -29,9 +30,8 @@
 /// Cycle values are %a hex floats too: save/load round-trips bit-exactly,
 /// which the warm-run byte-identical-bundle guarantee rests on.
 ///
-/// Load and save probe the `io` fault-injection site with the same
-/// read/write/rename salts as Brainy bundle persistence, and save commits
-/// via temp file + rename so a crashed save never leaves a torn cache.
+/// Reads and atomic writes go through support/FramedFile, so a crashed
+/// save never leaves a torn cache and `io` faults reach this store too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,21 @@
 #include <string>
 
 namespace brainy {
+
+/// FNV-1a-64 absorb steps for configuration fingerprints (this file's
+/// and the checkpoint's): integers as decimal text, doubles as their %a
+/// rendering, each followed by '|' so adjacent fields cannot alias.
+void fnvStr(uint64_t &H, const std::string &S);
+void fnvInt(uint64_t &H, uint64_t V);
+void fnvDouble(uint64_t &H, double V);
+
+/// The `fingerprint` header field of the cache and checkpoint formats:
+/// 16 hex digits.
+std::string fingerprintField(uint64_t Fingerprint);
+
+/// Reads a `fingerprint` field: BadFormat unless it is hex, TagMismatch
+/// unless it equals \p Want (the file belongs to another configuration).
+Error checkFingerprint(const std::string &Field, uint64_t Want);
 
 /// FNV-1a-64 over the measurement-relevant parameters of \p Gen and
 /// \p Machine (all generator knobs, all machine-model knobs; doubles

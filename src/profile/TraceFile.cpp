@@ -6,13 +6,11 @@
 
 #include "profile/TraceFile.h"
 
-#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
@@ -81,39 +79,11 @@ bool brainy::trainingSetFromString(const std::string &Text,
 
 bool brainy::writeTrainingSet(const std::string &Path,
                               const std::vector<TrainExample> &Examples) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), /*Salt=*/1))
-    return false;
-  // Atomic like the model bundle: a crashed write never leaves a
-  // half-written training set at the destination path.
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return false;
-  std::string Text = trainingSetToString(Examples);
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok &= std::fflush(F) == 0;
-  Ok &= std::fclose(F) == 0;
-  Ok = Ok && std::rename(Tmp.c_str(), Path.c_str()) == 0;
-  if (!Ok)
-    std::remove(Tmp.c_str());
-  return Ok;
+  return !writeFileAtomic(Path, trainingSetToString(Examples));
 }
 
 bool brainy::readTrainingSet(const std::string &Path,
                              std::vector<TrainExample> &Examples) {
-  if (FaultInjector::instance().shouldFail(
-          FaultSite::FileIo, FaultInjector::keyFor(Path), /*Salt=*/0))
-    return false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-  return trainingSetFromString(Text, Examples);
+  Expected<std::string> Text = readFile(Path);
+  return Text && trainingSetFromString(*Text, Examples);
 }

@@ -32,7 +32,8 @@ struct TrainExample {
   uint64_t Seed = 0;
 };
 
-/// Serialises \p Examples to \p Path. Returns false on I/O failure.
+/// Serialises \p Examples to \p Path atomically (writeFileAtomic).
+/// Returns false on I/O failure.
 bool writeTrainingSet(const std::string &Path,
                       const std::vector<TrainExample> &Examples);
 

@@ -7,10 +7,10 @@
 #include "serve/SyntheticBundle.h"
 
 #include "adt/DsKind.h"
+#include "core/Brainy.h"
 #include "profile/Features.h"
-#include "support/Crc32.h"
+#include "support/FramedFile.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <vector>
 
@@ -77,20 +77,7 @@ std::string serve::syntheticBundleText(const std::string &Machine,
   for (unsigned I = 0; I != NumModelKinds; ++I)
     Payload += syntheticModelText(static_cast<ModelKind>(I), WinnerIndex,
                                   HiddenUnits);
-
-  char Buf[96];
-  std::string Out = "brainy-bundle v2\n";
-  Out += "machine " + Machine + "\n";
-  Out += "tag " + Tag + "\n";
-  std::snprintf(Buf, sizeof(Buf), "features %u\n", NumFeatures);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "models %u\n", NumModelKinds);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "payload %zu crc32 %08" PRIx32 "\n",
-                Payload.size(), crc32(Payload));
-  Out += Buf;
-  Out += Payload;
-  return Out;
+  return Brainy::frameBundle(Machine, Tag, Payload);
 }
 
 Error serve::writeSyntheticBundle(const std::string &Path,
@@ -98,13 +85,6 @@ Error serve::writeSyntheticBundle(const std::string &Path,
                                   const std::string &Tag,
                                   unsigned WinnerIndex,
                                   unsigned HiddenUnits) {
-  std::string Text = syntheticBundleText(Machine, Tag, WinnerIndex,
-                                         HiddenUnits);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return Error(ErrCode::IoError, "cannot open '" + Path + "' for write");
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  if (std::fclose(F) != 0 || Written != Text.size())
-    return Error(ErrCode::IoError, "short write to '" + Path + "'");
-  return Error::success();
+  return writeFileAtomic(
+      Path, syntheticBundleText(Machine, Tag, WinnerIndex, HiddenUnits));
 }

@@ -10,9 +10,10 @@
 /// that always predicts one chosen candidate (zero hidden weights, a
 /// large bias on the winning output), so a test can tell *which* bundle
 /// answered a query purely from the answer — the observable a hot-swap
-/// atomicity test needs. The text goes through the same Brainy::parse /
-/// CRC validation as a trained bundle; nothing here bypasses the
-/// hardened loader.
+/// atomicity test needs. Only the six model sections are hand-built:
+/// the header is Brainy::frameBundle's, and the text goes through the
+/// same Brainy::parse / CRC validation as a trained bundle; nothing here
+/// bypasses the hardened loader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +37,7 @@ std::string syntheticBundleText(const std::string &Machine,
                                 const std::string &Tag, unsigned WinnerIndex,
                                 unsigned HiddenUnits = 2);
 
-/// Writes syntheticBundleText to \p Path (plain write; tests that need
-/// the atomic rename go through Brainy::save on a parsed copy).
+/// Writes syntheticBundleText to \p Path atomically (writeFileAtomic).
 Error writeSyntheticBundle(const std::string &Path,
                            const std::string &Machine,
                            const std::string &Tag, unsigned WinnerIndex,

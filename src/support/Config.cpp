@@ -6,13 +6,11 @@
 
 #include "support/Config.h"
 
-#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace brainy;
 
@@ -63,27 +61,12 @@ Config Config::fromString(const std::string &Text) {
 }
 
 Config Config::fromFile(const std::string &Path) {
-  if (FaultInjector::instance().shouldFail(FaultSite::FileIo,
-                                           FaultInjector::keyFor(Path))) {
-    Config Result;
-    Result.Errors.push_back(
-        Error(ErrCode::FaultInjected, "reading '" + Path + "'").message());
-    return Result;
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Config Result;
-    Result.Errors.push_back("cannot open '" + Path +
-                            "': " + std::strerror(errno));
-    return Result;
-  }
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-  return fromString(Text);
+  Expected<std::string> Text = readFile(Path);
+  if (Text)
+    return fromString(*Text);
+  Config Result;
+  Result.Errors.push_back(Text.error().message());
+  return Result;
 }
 
 const Config::Setting *Config::find(const std::string &Key) const {

@@ -114,6 +114,29 @@ TEST(CheckpointFormatTest, RoundTripsEveryField) {
   EXPECT_EQ(checkpointToString(*Back, Fp, MachineName), Text);
 }
 
+TEST(CheckpointFormatTest, BytesArePinned) {
+  // Files written by earlier builds must keep loading: any change to the
+  // layout shows here first.
+  EXPECT_EQ(checkpointToString(sampleCheckpoint(), Fp, MachineName),
+            "brainy-ckpt v1\n"
+            "machine core2\n"
+            "fingerprint 1234abcd5678ef09\n"
+            "next 96 stopped 0\n"
+            "payload 325 crc32 b3c58209\n"
+            "family 0 scanned 41 rejects 7 pairs 3 skips 2\n"
+            "pair 3 0\n"
+            "pair 9 2\n"
+            "pair 40 8\n"
+            "skip 17\n"
+            "skip 18\n"
+            "family 1 scanned 12 rejects 0 pairs 1 skips 0\n"
+            "pair 5 1\n"
+            "family 2 scanned 0 rejects 0 pairs 0 skips 0\n"
+            "family 3 scanned 0 rejects 0 pairs 0 skips 0\n"
+            "family 4 scanned 0 rejects 0 pairs 0 skips 0\n"
+            "family 5 scanned 0 rejects 0 pairs 0 skips 0\n");
+}
+
 TEST(CheckpointFormatTest, StoppedFlagRoundTrips) {
   TrainCheckpoint Ck = sampleCheckpoint();
   Ck.Stopped = true;

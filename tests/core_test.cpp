@@ -244,16 +244,16 @@ TEST(BrainyBundleTest, TrainSaveLoadRecommend) {
   EXPECT_EQ(B.machineName(), "core2");
 
   std::string Path = ::testing::TempDir() + "/brainy_bundle_test.txt";
-  ASSERT_TRUE(B.saveFile(Path));
-  Brainy Loaded;
-  ASSERT_TRUE(Brainy::loadFile(Path, Loaded));
-  EXPECT_EQ(Loaded.machineName(), "core2");
+  ASSERT_FALSE(B.save(Path));
+  Expected<Brainy> Loaded = Brainy::load(Path);
+  ASSERT_TRUE(Loaded) << Loaded.error().message();
+  EXPECT_EQ(Loaded->machineName(), "core2");
 
   // Same predictions after the round trip.
   AppSpec Spec = AppSpec::fromSeed(4242, Opts.GenConfig);
   ProfiledOutcome Out = runAppProfiled(Spec, DsKind::Vector, MC);
   EXPECT_EQ(B.recommend(DsKind::Vector, Out.Sw, Out.Features),
-            Loaded.recommend(DsKind::Vector, Out.Sw, Out.Features));
+            Loaded->recommend(DsKind::Vector, Out.Sw, Out.Features));
   std::remove(Path.c_str());
 }
 

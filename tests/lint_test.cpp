@@ -44,9 +44,9 @@ bool fires(const std::string &Path, const std::string &Content,
 // Catalogue sanity
 //===----------------------------------------------------------------------===//
 
-TEST(LintCatalogue, NineRulesWithStableUniqueIds) {
+TEST(LintCatalogue, TenRulesWithStableUniqueIds) {
   const auto &Rules = rules();
-  ASSERT_EQ(Rules.size(), 9u);
+  ASSERT_EQ(Rules.size(), 10u);
   std::set<std::string> Ids, Names;
   for (const Rule &R : Rules) {
     Ids.insert(R.Id);
@@ -57,6 +57,7 @@ TEST(LintCatalogue, NineRulesWithStableUniqueIds) {
   EXPECT_EQ(Rules.front().Id, std::string("BL001"));
   EXPECT_TRUE(Ids.count("BL008"));
   EXPECT_TRUE(Ids.count("BL009"));
+  EXPECT_TRUE(Ids.count("BL010"));
 }
 
 TEST(LintCatalogue, DiagFormatIsFileLineRule) {
@@ -401,6 +402,36 @@ TEST(LintRangeForCopy, OrdinaryForLoopIsFine) {
       "  for (size_t I = 0; I != Names.size(); ++I) use(Names[I]);\n"
       "}\n";
   EXPECT_FALSE(fires("src/core/ok.cpp", Fixture, "range-for-copy"));
+}
+
+//===----------------------------------------------------------------------===//
+// BL010 raw-rename
+//===----------------------------------------------------------------------===//
+
+TEST(LintRawRename, FiresOnStdAndGlobalRename) {
+  std::string Fixture = "bool f(const char *A, const char *B) {\n"
+                        "  if (std::rename(A, B) != 0) return false;\n"
+                        "  return ::rename(B, A) == 0 || rename(A, B) == 0;\n"
+                        "}\n";
+  auto Names = firedRules("src/core/bad.cpp", Fixture);
+  EXPECT_EQ(std::count(Names.begin(), Names.end(), "raw-rename"), 3);
+  EXPECT_TRUE(fires("tools/bad.cpp", Fixture, "raw-rename"));
+}
+
+TEST(LintRawRename, AllowedInsideTheAtomicWriter) {
+  std::string Fixture = "int R = std::rename(Tmp.c_str(), Path.c_str());\n";
+  EXPECT_FALSE(fires("src/support/FramedFile.cpp", Fixture, "raw-rename"));
+  EXPECT_TRUE(fires("src/support/Config.cpp", Fixture, "raw-rename"));
+}
+
+TEST(LintRawRename, MemberRenamesAndMentionsAreFine) {
+  std::string Fixture = "void f(Table &T, Table *P) {\n"
+                        "  T.rename(\"a\"); P->rename(\"b\");\n"
+                        "  const char *Doc = \"never rename(a, b)\";\n"
+                        "  // rename(a, b) would bypass the fault probes\n"
+                        "  bool rename = false; use(rename);\n"
+                        "}\n";
+  EXPECT_FALSE(fires("src/core/ok.cpp", Fixture, "raw-rename"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,8 +3,8 @@
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 // Covers the `brainy apply` stack (DESIGN.md §14) bottom-up: the byte
-// patcher (splice, dedup, overlap refusal, diff, fault-salted save), the
-// interface-mapping rule table, and the planner/verifier loop — including
+// patcher (splice, dedup, overlap refusal, diff), the interface-mapping
+// rule table, and the planner/verifier loop — including
 // the rejection path (a refused patch is reported and never emitted) and
 // machine-checked idempotence (apply on applied output plans nothing).
 //
@@ -13,38 +13,15 @@
 #include "analysis/Patcher.h"
 #include "analysis/Rewrite.h"
 #include "analysis/RewriteRules.h"
-#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace brainy;
 using namespace brainy::analysis;
 
 namespace {
-
-struct FaultGuard {
-  explicit FaultGuard(const std::string &Spec) {
-    Error E = FaultInjector::instance().configure(Spec);
-    EXPECT_FALSE(E) << E.message();
-  }
-  ~FaultGuard() { FaultInjector::instance().clear(); }
-};
-
-std::string tmpPath(const std::string &Name) {
-  return ::testing::TempDir() + "brainy_rewrite_" + Name;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
 
 const PlanEntry *entryFor(const FileRewrite &FR, const std::string &Name) {
   for (const PlanEntry &E : FR.Entries)
@@ -96,21 +73,6 @@ TEST(Patcher, UnifiedDiffIsEmptyOnIdenticalAndFormatsHunks) {
   EXPECT_NE(D.find("-two\n"), std::string::npos);
   EXPECT_NE(D.find("+2\n"), std::string::npos);
   EXPECT_NE(D.find("@@ -"), std::string::npos);
-}
-
-TEST(Patcher, SaveFileAtomicFaultLeavesExistingFileUntouched) {
-  std::string Path = tmpPath("atomic.txt");
-  ASSERT_FALSE(saveFileAtomic(Path, "first\n"));
-  EXPECT_EQ(slurp(Path), "first\n");
-  {
-    FaultGuard Guard("io:1:42"); // every io probe fails
-    Error E = saveFileAtomic(Path, "second\n");
-    EXPECT_TRUE(E);
-    EXPECT_EQ(slurp(Path), "first\n");
-  }
-  ASSERT_FALSE(saveFileAtomic(Path, "second\n"));
-  EXPECT_EQ(slurp(Path), "second\n");
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

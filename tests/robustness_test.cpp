@@ -229,7 +229,7 @@ TEST(BundleRobustnessTest, ErrorCodesAreDiagnosable) {
 TEST(BundleRobustnessTest, FailedLoadNeverChangesRecommendations) {
   std::string Path = tmpPath("truncated.txt");
   Brainy B;
-  ASSERT_TRUE(B.saveFile(Path));
+  ASSERT_FALSE(B.save(Path));
   std::string Text = B.toString();
   for (size_t Len : {size_t(0), Text.size() / 3, Text.size() - 1}) {
     std::FILE *F = std::fopen(Path.c_str(), "wb");
@@ -241,10 +241,12 @@ TEST(BundleRobustnessTest, FailedLoadNeverChangesRecommendations) {
     ASSERT_FALSE(static_cast<bool>(L)) << "truncated at " << Len;
     EXPECT_FALSE(L.error().message().empty());
 
-    // The bool wrapper must leave the output advisor untouched, so every
-    // recommendation stays "keep the original".
+    // A failed load hands back no advisor, so the one a caller keeps in
+    // place is untouched and every recommendation stays "keep the
+    // original".
     Brainy Out;
-    EXPECT_FALSE(Brainy::loadFile(Path, Out));
+    if (L)
+      Out = std::move(*L);
     FeatureVector Fv{};
     for (unsigned M = 0; M != NumModelKinds; ++M) {
       auto Kind = static_cast<ModelKind>(M);

@@ -25,6 +25,7 @@
 #include "serve/Pipeline.h"
 #include "serve/Server.h"
 #include "serve/SyntheticBundle.h"
+#include "support/Crc32.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,14 @@ TEST(SyntheticBundle, LoadsThroughHardenedLoaderAndPredictsItsWinner) {
   EXPECT_EQ(Loaded->recommendWith(modelFor(Q.Original, Q.OrderOblivious),
                                   Q.Features, Q.OrderOblivious),
             Q.Original);
+}
+
+TEST(SyntheticBundle, BytesArePinned) {
+  // Serving tests and benches compare answers from these bundles; their
+  // text must not drift.
+  std::string Text = syntheticBundleText("core2", "t", 0);
+  EXPECT_EQ(Text.size(), 2494u);
+  EXPECT_EQ(crc32(Text), 0x8c214bcfu);
 }
 
 TEST(SyntheticBundle, DistinctWinnersGiveDistinguishableAnswers) {
@@ -441,14 +450,21 @@ TEST(RecommendServer, GracefulStopDrainsEveryAcceptedQuery) {
   LineChannel Chan(*Conn);
   std::vector<std::string> Lines;
   std::string Line;
-  for (;;) {
-    LineChannel::ReadStatus St = Chan.readLine(Line, 2000);
-    if (St == LineChannel::ReadStatus::Line)
+  std::string ReadError;
+  try {
+    while (Chan.readLine(Line, 2000) == LineChannel::ReadStatus::Line)
       Lines.push_back(Line);
-    else
-      break;
+  } catch (const ErrorException &E) {
+    ReadError = E.what();
   }
   Stopper.join();
+  // A server stopped before reading anything resets the connection with
+  // the queries unread: that is the end of the stream only when no answer
+  // had arrived yet.
+  if (!ReadError.empty()) {
+    EXPECT_TRUE(Lines.empty()) << ReadError << " after " << Lines.size()
+                               << " line(s)";
+  }
 
   // Every response the server produced is complete and answers its query
   // in order (it may not have read all N before stop, but what it read it

@@ -6,6 +6,8 @@
 
 #include "support/Config.h"
 #include "support/Env.h"
+#include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 
@@ -278,6 +281,171 @@ TEST(ConfigTest, SetOverrides) {
 TEST(ConfigTest, MissingFileIsError) {
   Config C = Config::fromFile("/nonexistent/brainy.conf");
   EXPECT_TRUE(C.hasErrors());
+}
+
+//===----------------------------------------------------------------------===//
+// FramedFile
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const char *const TestMagic = "brainy-test";
+const char *const TestVersion = "v3";
+
+std::string sampleFrame(const std::string &Payload = "line one\nline two\n") {
+  return frame(TestMagic, TestVersion, {{"machine", "core2"}, {"count", "7"}},
+               Payload);
+}
+
+/// unframe under sampleFrame's keys: the failure's code, Ok on success.
+ErrCode unframeCode(const std::string &Text) {
+  std::string Machine, Count, Payload;
+  return unframe(Text, TestMagic, TestVersion,
+                 {{"machine", &Machine}, {"count", &Count}}, Payload)
+      .code();
+}
+
+std::string tmpPath(const std::string &Name) {
+  return ::testing::TempDir() + "brainy_support_" + Name;
+}
+
+bool exists(const std::string &Path) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (F)
+    std::fclose(F);
+  return F != nullptr;
+}
+
+/// Scopes a fault spec on the process-wide injector.
+struct FaultGuard {
+  explicit FaultGuard(const std::string &Spec) {
+    Error E = FaultInjector::instance().configure(Spec);
+    EXPECT_FALSE(E) << E.message();
+  }
+  ~FaultGuard() { FaultInjector::instance().clear(); }
+};
+
+} // namespace
+
+TEST(FramedFileTest, RoundTripsFieldsAndPayload) {
+  std::string Text = sampleFrame();
+  EXPECT_EQ(Text, "brainy-test v3\nmachine core2\ncount 7\n"
+                  "payload 18 crc32 75f4d78b\nline one\nline two\n");
+  std::string Machine, Count, Payload;
+  Error E = unframe(Text, TestMagic, TestVersion,
+                    {{"machine", &Machine}, {"count", &Count}}, Payload);
+  ASSERT_FALSE(E) << E.message();
+  EXPECT_EQ(Machine, "core2");
+  EXPECT_EQ(Count, "7");
+  EXPECT_EQ(Payload, "line one\nline two\n");
+
+  // No fields, an empty payload: still a complete frame.
+  Text = frame(TestMagic, TestVersion, {}, "");
+  EXPECT_EQ(Text, "brainy-test v3\npayload 0 crc32 00000000\n");
+  ASSERT_FALSE(unframe(Text, TestMagic, TestVersion, {}, Payload));
+  EXPECT_EQ(Payload, "");
+}
+
+TEST(FramedFileTest, EachDefectHasItsCode) {
+  std::string Good = sampleFrame();
+  EXPECT_EQ(unframeCode(Good), ErrCode::Ok);
+  EXPECT_EQ(unframeCode(""), ErrCode::Truncated);
+  EXPECT_EQ(unframeCode("brainy-bundle v3\n"), ErrCode::BadMagic);
+  std::string Bad = Good;
+  Bad.replace(Bad.find("v3"), 2, "v2");
+  EXPECT_EQ(unframeCode(Bad), ErrCode::BadVersion);
+
+  // Cut short in the header, and inside the payload.
+  EXPECT_EQ(unframeCode(Good.substr(0, Good.find("count"))),
+            ErrCode::Truncated);
+  EXPECT_EQ(unframeCode(Good.substr(0, Good.size() - 1)), ErrCode::Truncated);
+
+  // A header line under the wrong key, a malformed payload line, and
+  // bytes past the declared payload.
+  Bad = Good;
+  Bad.replace(Bad.find("count"), 5, "tally");
+  EXPECT_EQ(unframeCode(Bad), ErrCode::BadFormat);
+  Bad = Good;
+  Bad.replace(Bad.find("crc32"), 5, "crc64");
+  EXPECT_EQ(unframeCode(Bad), ErrCode::BadFormat);
+  EXPECT_EQ(unframeCode(Good + "x"), ErrCode::BadFormat);
+
+  Bad = Good;
+  Bad[Bad.size() - 2] ^= 0x01;
+  EXPECT_EQ(unframeCode(Bad), ErrCode::BadChecksum);
+}
+
+TEST(FramedFileTest, EveryProperPrefixFails) {
+  // The empty payload makes the payload line's own terminator the last
+  // byte a complete frame needs.
+  for (const std::string &Good : {sampleFrame(), sampleFrame("")})
+    for (size_t Len = 0; Len != Good.size(); ++Len)
+      EXPECT_NE(unframeCode(Good.substr(0, Len)), ErrCode::Ok)
+          << "prefix of " << Len << " bytes unframed";
+}
+
+TEST(FramedFileTest, WriteFileAtomicReplacesTheFile) {
+  std::string Path = tmpPath("atomic.txt");
+  ASSERT_FALSE(writeFileAtomic(Path, "first\n"));
+  ASSERT_FALSE(writeFileAtomic(Path, "second\n"));
+  Expected<std::string> Back = readFile(Path);
+  ASSERT_TRUE(Back) << Back.error().message();
+  EXPECT_EQ(*Back, "second\n");
+  EXPECT_FALSE(exists(Path + ".tmp"));
+  std::remove(Path.c_str());
+}
+
+TEST(FramedFileTest, IoProbesFailWithoutTouchingTheFile) {
+  std::string Path = tmpPath("probed.txt");
+  ASSERT_FALSE(writeFileAtomic(Path, "before\n"));
+  // At rate 0.5 the write and rename probes fire independently, so some
+  // seed fails each one; the injector is a pure hash, so which seeds do
+  // is fixed.
+  bool SawWrite = false, SawRename = false;
+  for (unsigned Seed = 1; Seed != 64 && !(SawWrite && SawRename); ++Seed) {
+    Error E;
+    {
+      FaultGuard Guard("io:0.5:" + std::to_string(Seed));
+      E = writeFileAtomic(Path, "after\n");
+    }
+    if (!E) {
+      ASSERT_FALSE(writeFileAtomic(Path, "before\n"));
+      continue;
+    }
+    ASSERT_EQ(E.code(), ErrCode::FaultInjected) << E.message();
+    SawWrite |= E.context().rfind("writing", 0) == 0;
+    SawRename |= E.context().rfind("renaming", 0) == 0;
+    EXPECT_FALSE(exists(Path + ".tmp")) << E.message();
+    Expected<std::string> Kept = readFile(Path);
+    ASSERT_TRUE(Kept) << Kept.error().message();
+    EXPECT_EQ(*Kept, "before\n") << E.message();
+  }
+  EXPECT_TRUE(SawWrite);
+  EXPECT_TRUE(SawRename);
+
+  {
+    FaultGuard Guard("io:1:1");
+    Expected<std::string> Read = readFile(Path);
+    ASSERT_FALSE(Read);
+    EXPECT_EQ(Read.error().code(), ErrCode::FaultInjected);
+  }
+  EXPECT_FALSE(exists(Path + ".tmp"));
+  Expected<std::string> Kept = readFile(Path);
+  ASSERT_TRUE(Kept);
+  EXPECT_EQ(*Kept, "before\n");
+  std::remove(Path.c_str());
+}
+
+TEST(FramedFileTest, UnreadableFilesAreIoErrors) {
+  Expected<std::string> Missing = readFile(tmpPath("does_not_exist.txt"));
+  ASSERT_FALSE(Missing);
+  EXPECT_EQ(Missing.error().code(), ErrCode::IoError);
+
+  // A directory opens but fails to read: an error, not an empty file.
+  Expected<std::string> Dir = readFile(::testing::TempDir());
+  ASSERT_FALSE(Dir);
+  EXPECT_EQ(Dir.error().code(), ErrCode::IoError);
+  EXPECT_TRUE(Config::fromFile(::testing::TempDir()).hasErrors());
 }
 
 //===----------------------------------------------------------------------===//

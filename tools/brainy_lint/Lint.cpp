@@ -511,6 +511,30 @@ void checkRangeForCopy(Checker &C) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// BL010 raw-rename
+//===----------------------------------------------------------------------===//
+
+void checkRawRename(Checker &C) {
+  if (pathContains(C.Path, "src/support/FramedFile.cpp"))
+    return;
+  const auto &Toks = C.tokens();
+  for (size_t I = 0; I + 1 < Toks.size(); ++I) {
+    if (Toks[I].Kind != TokKind::Ident || Toks[I].Text != "rename" ||
+        Toks[I + 1].Text != "(")
+      continue;
+    // A member call through `.` or `->` is some class's own rename.
+    if (I >= 1 && (Toks[I - 1].Text == "." ||
+                   (I >= 2 && Toks[I - 1].Text == ">" &&
+                    Toks[I - 2].Text == "-")))
+      continue;
+    C.diag(Toks[I].Line, "BL010", "raw-rename",
+           "'rename' call outside support/FramedFile; commit files "
+           "through writeFileAtomic, the one atomic writer with the io "
+           "fault probes");
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -547,6 +571,9 @@ const std::vector<Rule> &brainy::lint::rules() {
        "by-value range-for variable of a spelled non-trivial element type "
        "(string, container, pair, ...) — copies every iteration",
        "-"},
+      {"BL010", "raw-rename",
+       "raw rename calls (file commits go through writeFileAtomic)",
+       "src/support/FramedFile.cpp"},
   };
   return Rules;
 }
@@ -569,6 +596,7 @@ std::vector<Diag> brainy::lint::lintSource(const std::string &Path,
   checkUsingNamespaceHeader(C);
   checkEraseInLoop(C);
   checkRangeForCopy(C);
+  checkRawRename(C);
   std::sort(C.Diags.begin(), C.Diags.end(),
             [](const Diag &A, const Diag &B) {
               if (A.Line != B.Line)

@@ -52,6 +52,7 @@
 #include "serve/Server.h"
 #include "support/Env.h"
 #include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 #include "survey/Survey.h"
 
 #include <cerrno>
@@ -337,8 +338,9 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
                    (unsigned long long)FI.injectedCount(Site),
                    faultSiteName(Site));
   }
-  if (!B.saveFile(Out)) {
-    std::fprintf(stderr, "cannot write '%s'\n", Out.c_str());
+  if (Error E = B.save(Out)) {
+    std::fprintf(stderr, "cannot write '%s': %s\n", Out.c_str(),
+                 E.message().c_str());
     return 1;
   }
   std::fprintf(stderr, "saved models to %s\n", Out.c_str());
@@ -384,10 +386,10 @@ int cmdTrainset(const Args &A) {
 }
 
 int cmdEval(const Args &A) {
-  Brainy B;
-  if (!Brainy::loadFile(A.get("models"), B)) {
-    std::fprintf(stderr, "cannot load models '%s'\n",
-                 A.get("models").c_str());
+  Expected<Brainy> B = Brainy::load(A.get("models"));
+  if (!B) {
+    std::fprintf(stderr, "cannot load models '%s': %s\n",
+                 A.get("models").c_str(), B.error().message().c_str());
     return 1;
   }
   std::vector<TrainExample> Examples;
@@ -401,11 +403,11 @@ int cmdEval(const Args &A) {
     auto Kind = static_cast<ModelKind>(I);
     if (FamilyName != modelKindName(Kind))
       continue;
-    double Acc = B.model(Kind).accuracy(Examples,
-                                        modelIsOrderOblivious(Kind));
+    double Acc = B->model(Kind).accuracy(Examples,
+                                         modelIsOrderOblivious(Kind));
     std::printf("%s: %.2f%% over %zu examples (machine %s)\n",
                 modelKindName(Kind), Acc * 100, Examples.size(),
-                B.machineName().c_str());
+                B->machineName().c_str());
     return 0;
   }
   std::fprintf(stderr, "unknown model family '%s'\n", FamilyName.c_str());
@@ -547,7 +549,7 @@ int cmdApply(const Args &A) {
         continue;
       std::string OutPath =
           A.has("in-place") ? FR.Path : applySiblingPath(FR.Path);
-      Error E = analysis::saveFileAtomic(OutPath, FR.Patched);
+      Error E = writeFileAtomic(OutPath, FR.Patched);
       if (E) {
         std::fprintf(stderr, "apply: %s\n", E.message().c_str());
         Exit = 1;
