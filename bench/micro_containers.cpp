@@ -3,7 +3,7 @@
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 // Wall-clock google-benchmark microbenchmarks of the container substrate
-// itself (no event sink attached): the real host-machine cost of the
+// itself (no MachineModel attached): the real host-machine cost of the
 // from-scratch implementations.
 //
 //===----------------------------------------------------------------------===//

@@ -62,10 +62,10 @@ void BM_MachineModelAccess(benchmark::State &State) {
 BENCHMARK(BM_MachineModelAccess);
 
 void BM_MachineModelBatch(benchmark::State &State) {
-  // The production delivery path since the event-stream refactor: the same
-  // address stream as BM_MachineModelAccess, but appended as encoded
-  // records and drained through the batch kernel (what containers wired to
-  // a MachineModel now do) instead of one virtual call per event.
+  // The production delivery path: the same address stream as
+  // BM_MachineModelAccess, but appended as encoded records and drained
+  // through the batch kernel (what containers wired to a MachineModel do)
+  // instead of one per-event entry-point call each.
   MachineModel M(MachineConfig::core2());
   EventBuffer *Buf = M.eventBuffer();
   uint64_t Lcg = 1;
@@ -96,9 +96,9 @@ void BM_MachineModelStream(benchmark::State &State) {
 BENCHMARK(BM_MachineModelStream);
 
 void BM_MachineModelStreamBatch(benchmark::State &State) {
-  // The same scan delivered the way containers deliver it since the
-  // event-stream refactor: encoded records drained through the batch
-  // kernel, where repeat-block runs coalesce to O(1) integer updates.
+  // The same scan delivered the way containers deliver it: encoded
+  // records drained through the batch kernel, where repeat-block runs
+  // coalesce to O(1) integer updates.
   MachineModel M(MachineConfig::core2());
   EventBuffer *Buf = M.eventBuffer();
   uint64_t N = 0;

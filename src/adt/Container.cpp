@@ -30,8 +30,8 @@ namespace {
 template <typename Impl, DsKind KindValue>
 class ContainerAdapter final : public Container {
 public:
-  ContainerAdapter(uint32_t ElemBytes, EventSink *Sink)
-      : Inner(ElemBytes, Sink, heapBaseFor(KindValue)) {}
+  ContainerAdapter(uint32_t ElemBytes, MachineModel *Model)
+      : Inner(ElemBytes, Model, heapBaseFor(KindValue)) {}
 
   DsKind kind() const override { return KindValue; }
 
@@ -95,8 +95,6 @@ public:
 
   uint64_t size() const override { return Inner.size(); }
   void clear() override { Inner.clear(); }
-  void setSink(EventSink *Sink) override { Inner.setSink(Sink); }
-  EventSink *sink() const override { return Inner.sink(); }
   void setOpListener(OpListener *Listener) override {
     Inner.setOpListener(Listener);
   }
@@ -131,35 +129,35 @@ private:
 
 std::unique_ptr<Container> brainy::makeContainer(DsKind Kind,
                                                  uint32_t ElemBytes,
-                                                 EventSink *Sink) {
+                                                 MachineModel *Model) {
   switch (Kind) {
   case DsKind::Vector:
     return std::make_unique<ContainerAdapter<ds::Vector, DsKind::Vector>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::List:
     return std::make_unique<ContainerAdapter<ds::List, DsKind::List>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Deque:
     return std::make_unique<ContainerAdapter<ds::Deque, DsKind::Deque>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Set:
     return std::make_unique<ContainerAdapter<ds::RbTree, DsKind::Set>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::AvlSet:
     return std::make_unique<ContainerAdapter<ds::AvlTree, DsKind::AvlSet>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::HashSet:
     return std::make_unique<ContainerAdapter<ds::HashTable, DsKind::HashSet>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::Map:
     return std::make_unique<ContainerAdapter<ds::RbTree, DsKind::Map>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::AvlMap:
     return std::make_unique<ContainerAdapter<ds::AvlTree, DsKind::AvlMap>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   case DsKind::HashMap:
     return std::make_unique<ContainerAdapter<ds::HashTable, DsKind::HashMap>>(
-        ElemBytes, Sink);
+        ElemBytes, Model);
   }
   return nullptr;
 }

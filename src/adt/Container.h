@@ -60,16 +60,8 @@ public:
   virtual uint64_t size() const = 0;
   virtual void clear() = 0;
 
-  /// Redirects instrumentation events.
-  virtual void setSink(EventSink *Sink) = 0;
-
-  /// The sink currently receiving this container's events (may be null).
-  virtual EventSink *sink() const { return nullptr; }
-
   /// Registers \p Listener to receive one ContainerOp record per interface
-  /// call. Adapters stamp the record into the same event stream as the
-  /// hardware events, devirtualizing what ProfiledContainer used to do
-  /// with a forwarding wrapper. Default: ignore (no profiling).
+  /// call. Default: ignore (no profiling).
   virtual void setOpListener(OpListener *Listener) { (void)Listener; }
 
   /// Live simulated heap bytes (memory-bloat signal).
@@ -84,9 +76,9 @@ public:
 };
 
 /// Creates a container of \p Kind holding elements of \p ElemBytes
-/// simulated bytes, reporting events to \p Sink (may be null).
+/// simulated bytes, reporting events to \p Model (may be null).
 std::unique_ptr<Container> makeContainer(DsKind Kind, uint32_t ElemBytes = 8,
-                                         EventSink *Sink = nullptr);
+                                         MachineModel *Model = nullptr);
 
 } // namespace brainy
 

@@ -177,21 +177,19 @@ RunOutcome brainy::runApp(const AppSpec &Spec, DsKind Kind,
 ProfiledOutcome brainy::runAppProfiled(const AppSpec &Spec, DsKind Kind,
                                        const MachineConfig &Machine,
                                        OpObserver *Observer) {
-  // No forwarding wrapper: the container stamps one Op record per
-  // interface call into the same event stream as its hardware events, and
-  // the accumulator receives them as the model drains batches. Profiling
-  // therefore adds one buffered append per op, not a second virtual hop.
+  // No forwarding wrapper: the container reports one op per interface
+  // call straight to the accumulator, and its hardware events are exactly
+  // the unprofiled run's.
   MachineModel Model(Machine);
   std::unique_ptr<Container> C = makeContainer(Kind, Spec.ElemBytes, &Model);
   SwAccumulator Accum;
   Accum.Sw.ElementBytes = C->elementBytes();
   C->setOpListener(&Accum);
-  Model.setOpListener(&Accum);
   Driver D(Spec, *C, Observer);
   D.run();
 
   ProfiledOutcome Out;
-  Out.Run.Hw = Model.counters(); // Drains pending records into Accum too.
+  Out.Run.Hw = Model.counters();
   Out.Run.Cycles = Out.Run.Hw.Cycles;
   Out.Run.FinalSize = C->size();
   Out.Run.PeakSimBytes = C->simPeakBytes();

@@ -15,8 +15,8 @@ static constexpr uint64_t CompareWork = 3;
 static constexpr uint64_t RotateWork = 12;
 static constexpr uint64_t LinkWork = 6;
 
-AvlTree::AvlTree(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {}
+AvlTree::AvlTree(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {}
 
 AvlTree::~AvlTree() { clear(); }
 

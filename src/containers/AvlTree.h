@@ -24,7 +24,7 @@ namespace ds {
 /// Instrumentable AVL tree of unique Keys.
 class AvlTree : public ContainerBase {
 public:
-  explicit AvlTree(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit AvlTree(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                    uint64_t HeapBase = 0x50000000ULL);
   ~AvlTree();
 

@@ -6,24 +6,53 @@
 ///
 /// \file
 /// Common machinery for the instrumentable containers: the optional
-/// EventSink, a per-container SimAllocator heap region, and the simulated
-/// element size. The containers store real 64-bit keys and run the real
-/// algorithms; the *simulated* layout (what the cache model sees) treats
-/// each element as DataElemSize bytes, which is how the paper's generator
-/// varies element size (Table 2) without a template instantiation per size.
+/// MachineModel event buffer, the optional OpListener, a per-container
+/// SimAllocator heap region, and the simulated element size. The containers
+/// store real 64-bit keys and run the real algorithms; the *simulated*
+/// layout (what the cache model sees) treats each element as DataElemSize
+/// bytes, which is how the paper's generator varies element size (Table 2)
+/// without a template instantiation per size.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_CONTAINERS_CONTAINERBASE_H
 #define BRAINY_CONTAINERS_CONTAINERBASE_H
 
-#include "machine/EventBuffer.h"
-#include "machine/EventSink.h"
+#include "machine/MachineModel.h"
 #include "machine/SimAllocator.h"
 
 #include <cstdint>
 
 namespace brainy {
+
+/// Identifies one container interface call for the software-feature
+/// profiler. The adt adapters report each call (call kind, hit/miss, cost,
+/// size-after) to an OpListener, which accumulates them into
+/// SoftwareFeatures.
+enum class ContainerOp : uint8_t {
+  Insert,
+  InsertAt,
+  PushFront,
+  Erase,
+  EraseAt,
+  Find,
+  Iterate,
+  NumOps
+};
+
+/// Consumer of container interface-call summaries (the software-feature
+/// half of profiling), registered on a container.
+class OpListener {
+public:
+  virtual ~OpListener() = default;
+
+  /// One interface call of kind \p Op that resolved with \p Found, cost
+  /// \p Cost abstract steps, and left the container at \p SizeAfter
+  /// elements.
+  virtual void onOp(ContainerOp Op, bool Found, uint64_t Cost,
+                    uint64_t SizeAfter) = 0;
+};
+
 namespace ds {
 
 /// Key type stored by every container. The paper's generator inserts random
@@ -42,39 +71,26 @@ struct OpResult {
 
 /// Base class holding instrumentation state shared by all containers.
 ///
-/// When the sink exposes an EventBuffer (MachineModel does), every emitter
-/// appends an encoded record instead of making a virtual call — the
-/// training inner loop's hot path. Sinks without a buffer keep the direct
-/// per-event virtual path.
+/// With a MachineModel attached, every emitter appends an encoded record to
+/// the model's EventBuffer — the training inner loop's hot path. Without
+/// one, the emitters do nothing.
 class ContainerBase {
 public:
   /// \p ElemBytes simulated bytes per stored element (>= 8).
+  /// \p Model receives the hardware events (may be null).
   /// \p HeapBase start of this container's simulated heap region.
-  ContainerBase(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-      : Elem(ElemBytes < 8 ? 8 : ElemBytes), Sink(Sink),
-        Buf(Sink ? Sink->eventBuffer() : nullptr), Alloc(HeapBase) {}
-
-  void setSink(EventSink *NewSink) {
-    Sink = NewSink;
-    Buf = Sink ? Sink->eventBuffer() : nullptr;
-  }
-  EventSink *sink() const { return Sink; }
+  ContainerBase(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+      : Elem(ElemBytes < 8 ? 8 : ElemBytes),
+        Buf(Model ? Model->eventBuffer() : nullptr), Alloc(HeapBase) {}
 
   /// Registers \p Listener to receive one ContainerOp record per interface
   /// call (the software-feature profile). Null disables op recording.
   void setOpListener(OpListener *Listener) { Profile = Listener; }
   OpListener *opListener() const { return Profile; }
 
-  /// Emits the op record for one completed interface call. Routed through
-  /// the event stream when the sink is buffered (so op records stay
-  /// ordered against the hardware events they caused) and delivered
-  /// directly otherwise.
+  /// Reports one completed interface call to the registered listener.
   void recordOp(ContainerOp Op, const OpResult &R, uint64_t SizeAfter) {
-    if (!Profile)
-      return;
-    if (Buf)
-      Buf->op(Op, R.Found, R.Cost, SizeAfter);
-    else
+    if (Profile)
       Profile->onOp(Op, R.Found, R.Cost, SizeAfter);
   }
 
@@ -88,30 +104,22 @@ protected:
   void note(uint64_t Addr, uint32_t Bytes) {
     if (Buf)
       Buf->access(Addr, Bytes);
-    else if (Sink)
-      Sink->onAccess(Addr, Bytes);
   }
 
   void branch(BranchSite Site, bool Taken) {
     if (Buf)
       Buf->branch(Site, Taken);
-    else if (Sink)
-      Sink->onBranch(Site, Taken);
   }
 
   void work(uint64_t Instructions) {
     if (Buf)
       Buf->instructions(Instructions);
-    else if (Sink)
-      Sink->onInstructions(Instructions);
   }
 
   uint64_t allocSim(uint64_t Bytes) {
     uint64_t Addr = Alloc.allocate(Bytes);
     if (Buf)
       Buf->alloc(Bytes);
-    else if (Sink)
-      Sink->onAlloc(Bytes);
     return Addr;
   }
 
@@ -119,13 +127,10 @@ protected:
     Alloc.release(Addr, Bytes);
     if (Buf)
       Buf->free(Bytes);
-    else if (Sink)
-      Sink->onFree(Bytes);
   }
 
   uint32_t Elem;
-  EventSink *Sink;
-  EventBuffer *Buf;          ///< Sink's buffer; null = direct virtual path.
+  EventBuffer *Buf;          ///< The model's buffer; null = no events.
   OpListener *Profile = nullptr;
   SimAllocator Alloc;
 };

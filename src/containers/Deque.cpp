@@ -15,8 +15,8 @@ static constexpr uint64_t CompareWork = 3; // ring/chunk indexing
 static constexpr uint64_t WriteWork = 3; // ring indexing is a bit dearer
 static constexpr uint64_t CopyWorkPerElem = 3;
 
-Deque::Deque(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {}
+Deque::Deque(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {}
 
 Deque::~Deque() {
   if (Capacity)

@@ -27,7 +27,7 @@ namespace ds {
 /// Instrumentable ring-buffer deque of Key.
 class Deque : public ContainerBase {
 public:
-  explicit Deque(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit Deque(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                  uint64_t HeapBase = 0x30000000ULL);
   ~Deque();
 

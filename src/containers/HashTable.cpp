@@ -23,8 +23,8 @@ uint64_t HashTable::splitMix64Hash(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-HashTable::HashTable(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {
+HashTable::HashTable(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {
   Buckets.assign(InitialBuckets, nullptr);
   BucketBase = allocSim(InitialBuckets * 8);
 }

@@ -26,7 +26,7 @@ namespace ds {
 /// Instrumentable chained hash table of unique Keys.
 class HashTable : public ContainerBase {
 public:
-  explicit HashTable(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit HashTable(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                      uint64_t HeapBase = 0x60000000ULL);
   ~HashTable();
 

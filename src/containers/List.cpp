@@ -15,8 +15,8 @@ static constexpr uint64_t CompareWork = 2;
 static constexpr uint64_t LinkWork = 6;
 static constexpr uint64_t AdvanceWork = 2;
 
-List::List(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {}
+List::List(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {}
 
 List::~List() { clear(); }
 

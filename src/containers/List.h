@@ -23,7 +23,7 @@ namespace ds {
 /// Instrumentable doubly-linked list of Key.
 class List : public ContainerBase {
 public:
-  explicit List(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit List(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                 uint64_t HeapBase = 0x20000000ULL);
   ~List();
 

@@ -17,8 +17,8 @@ static constexpr uint64_t CompareWork = 3;
 static constexpr uint64_t RotateWork = 10;
 static constexpr uint64_t LinkWork = 6;
 
-RbTree::RbTree(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {
+RbTree::RbTree(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {
   Nil = Node{0, &Nil, &Nil, &Nil, Black, 0};
   Root = &Nil;
 }

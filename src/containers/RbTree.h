@@ -24,7 +24,7 @@ namespace ds {
 /// Instrumentable red-black tree of unique Keys.
 class RbTree : public ContainerBase {
 public:
-  explicit RbTree(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit RbTree(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                   uint64_t HeapBase = 0x40000000ULL);
   ~RbTree();
 

@@ -27,7 +27,7 @@ namespace ds {
 /// Instrumentable splay tree of unique Keys.
 class SplayTree : public ContainerBase {
 public:
-  explicit SplayTree(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit SplayTree(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                      uint64_t HeapBase = 0x70000000ULL);
   ~SplayTree();
 

@@ -16,8 +16,8 @@ static constexpr uint64_t CompareWork = 2;
 static constexpr uint64_t WriteWork = 2;
 static constexpr uint64_t CopyWorkPerElem = 2;
 
-Vector::Vector(uint32_t ElemBytes, EventSink *Sink, uint64_t HeapBase)
-    : ContainerBase(ElemBytes, Sink, HeapBase) {}
+Vector::Vector(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
+    : ContainerBase(ElemBytes, Model, HeapBase) {}
 
 Vector::~Vector() {
   if (Capacity)

@@ -25,7 +25,7 @@ namespace ds {
 /// Instrumentable dynamic array of Key.
 class Vector : public ContainerBase {
 public:
-  explicit Vector(uint32_t ElemBytes = 8, EventSink *Sink = nullptr,
+  explicit Vector(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
                   uint64_t HeapBase = 0x10000000ULL);
   ~Vector();
 

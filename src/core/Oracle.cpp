@@ -6,41 +6,14 @@
 
 #include "core/Oracle.h"
 
-#include <cassert>
-
 using namespace brainy;
 
 RaceResult brainy::raceCandidates(const AppSpec &Spec,
                                   const std::vector<DsKind> &Candidates,
                                   const MachineConfig &Machine) {
-  assert(!Candidates.empty() && "racing requires at least one candidate");
-  RaceResult Result;
-  std::vector<double> Measured;
-  Measured.reserve(Candidates.size());
-  for (DsKind Kind : Candidates) {
-    RunOutcome Out = runApp(Spec, Kind, Machine);
-    Result.Cycles[static_cast<unsigned>(Kind)] = Out.Cycles;
-    Measured.push_back(Out.Cycles);
-  }
-  size_t BestIdx = 0;
-  for (size_t I = 1, E = Measured.size(); I != E; ++I)
-    if (Measured[I] < Measured[BestIdx])
-      BestIdx = I;
-  Result.Best = Candidates[BestIdx];
-  if (Candidates.size() > 1 && Measured[BestIdx] > 0) {
-    double Second = 0;
-    bool HaveSecond = false;
-    for (size_t I = 0, E = Measured.size(); I != E; ++I) {
-      if (I == BestIdx)
-        continue;
-      if (!HaveSecond || Measured[I] < Second) {
-        Second = Measured[I];
-        HaveSecond = true;
-      }
-    }
-    Result.Margin = (Second - Measured[BestIdx]) / Measured[BestIdx];
-  }
-  return Result;
+  return raceWith(Candidates, [&](DsKind Kind) {
+    return runApp(Spec, Kind, Machine).Cycles;
+  });
 }
 
 RaceResult brainy::oracleBest(const AppSpec &Spec, DsKind Original,

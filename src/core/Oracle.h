@@ -19,6 +19,8 @@
 #include "appgen/AppRunner.h"
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <vector>
 
 namespace brainy {
@@ -35,6 +37,41 @@ struct RaceResult {
     return Cycles[static_cast<unsigned>(Kind)];
   }
 };
+
+/// Races \p Candidates, measuring each once, in order, through
+/// \p CyclesOf(DsKind) -> double: the one copy of footnote 2's rule, shared
+/// by the Oracle, Phase I and the case studies. The fastest candidate wins
+/// and ties keep the earliest. The margin is (secondBest - best) / best,
+/// and 0 with a single candidate or a best of 0. \p Candidates must be
+/// non-empty.
+template <typename CyclesFn>
+RaceResult raceWith(const std::vector<DsKind> &Candidates,
+                    CyclesFn &&CyclesOf) {
+  assert(!Candidates.empty() && "racing requires at least one candidate");
+  RaceResult Out;
+  Out.Best = Candidates.front();
+  double BestCycles = CyclesOf(Out.Best);
+  Out.Cycles[static_cast<unsigned>(Out.Best)] = BestCycles;
+  double Second = 0;
+  bool HaveSecond = false;
+  for (size_t I = 1, E = Candidates.size(); I != E; ++I) {
+    DsKind Kind = Candidates[I];
+    double C = CyclesOf(Kind);
+    Out.Cycles[static_cast<unsigned>(Kind)] = C;
+    if (C < BestCycles) {
+      Second = BestCycles;
+      HaveSecond = true;
+      BestCycles = C;
+      Out.Best = Kind;
+    } else if (!HaveSecond || C < Second) {
+      Second = C;
+      HaveSecond = true;
+    }
+  }
+  if (HaveSecond && BestCycles > 0)
+    Out.Margin = (Second - BestCycles) / BestCycles;
+  return Out;
+}
 
 /// Runs \p Spec on every kind in \p Candidates under \p Machine and ranks
 /// them by simulated cycles. \p Candidates must be non-empty.

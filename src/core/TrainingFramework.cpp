@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdio>
 #include <exception>
 
@@ -77,41 +76,6 @@ void acceptReplays(ModelKind Model, const PhaseOneResult &Pairs,
     ++Count;
     Out.emplace_back(Model, Pair);
   }
-}
-
-struct RaceOutcome {
-  DsKind Best = DsKind::Vector;
-  double Margin = 0;
-};
-
-/// Winner and footnote-2 margin over \p Candidates measured through
-/// \p CyclesOf — the single source of truth for the margin/winner logic
-/// shared by phaseOne, phaseOneAll, and their parallel paths. Ties keep the
-/// earliest candidate, matching raceCandidates.
-template <typename CyclesFn>
-RaceOutcome raceWith(const std::vector<DsKind> &Candidates,
-                     CyclesFn &&CyclesOf) {
-  assert(!Candidates.empty() && "racing requires at least one candidate");
-  RaceOutcome Out;
-  Out.Best = Candidates.front();
-  double BestCycles = CyclesOf(Out.Best);
-  double Second = 0;
-  bool HaveSecond = false;
-  for (size_t I = 1, E = Candidates.size(); I != E; ++I) {
-    double C = CyclesOf(Candidates[I]);
-    if (C < BestCycles) {
-      Second = BestCycles;
-      HaveSecond = true;
-      BestCycles = C;
-      Out.Best = Candidates[I];
-    } else if (!HaveSecond || C < Second) {
-      Second = C;
-      HaveSecond = true;
-    }
-  }
-  if (HaveSecond && BestCycles > 0)
-    Out.Margin = (Second - BestCycles) / BestCycles;
-  return Out;
 }
 
 } // namespace
@@ -372,7 +336,7 @@ TrainingFramework::evalSeed(uint64_t Seed,
       continue;
     std::vector<DsKind> Candidates =
         replacementCandidates(modelOriginal(Model), Spec.OrderOblivious);
-    RaceOutcome Race = raceWith(Candidates, CyclesOf);
+    RaceResult Race = raceWith(Candidates, CyclesOf);
     Out[M].Matched = true;
     Out[M].Best = Race.Best;
     Out[M].Margin = Race.Margin;

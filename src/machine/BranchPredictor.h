@@ -17,7 +17,7 @@
 #ifndef BRAINY_MACHINE_BRANCHPREDICTOR_H
 #define BRAINY_MACHINE_BRANCHPREDICTOR_H
 
-#include "machine/EventSink.h"
+#include "machine/EventBuffer.h"
 
 #include <array>
 #include <cassert>

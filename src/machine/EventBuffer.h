@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The compact encoded event stream between containers and the machine
-/// model. Instead of one virtual EventSink call per memory touch / branch /
-/// instruction burst, containers append fixed-width records into this flat
-/// word buffer and the sink drains whole buffers at once through
-/// EventSink::onBatch — turning the training inner loop's five-virtual-
-/// calls-per-op pipeline into inline stores plus one indirect call per
-/// ~thousand events.
+/// model. Containers report their dynamic behaviour — memory touches, the
+/// data-dependent conditional branches the paper found predictive (e.g. the
+/// "should vector resize?" branch), straight-line instruction estimates, and
+/// allocator traffic — by appending fixed-width records into this flat word
+/// buffer, and the owning MachineModel drains whole buffers at once through
+/// MachineModel::onBatch: inline stores plus one direct call per ~thousand
+/// events.
 ///
 /// Record encoding (word0 low 4 bits = kind, bit 4 = boolean flag, payload
 /// from bit 8 up; variable 1/2-word records in the flex packing spirit):
@@ -21,13 +22,12 @@
 ///   Instr:   word0 = kind | Count<<8            (split if Count >= 2^56)
 ///   Alloc:   word0 = kind | Bytes<<8
 ///   Free:    word0 = kind | Bytes<<8
-///   Op:      word0 = kind | Found<<4 | Op<<8 | Cost<<16   word1 = SizeAfter
 ///
-/// Records are drained strictly in append order, so a batched consumer
-/// observes the exact event sequence the per-call interface would have —
-/// the bit-identity argument of DESIGN.md §12 rests on that.
+/// Records are drained strictly in append order, so the drain observes the
+/// exact event sequence the per-event MachineModel entry points would have
+/// — the bit-identity argument of DESIGN.md §12 rests on that.
 ///
-/// Thread contract: an EventBuffer is owned by its EventSink and is
+/// Thread contract: an EventBuffer is owned by its MachineModel and is
 /// single-threaded by construction — one MachineModel (and therefore one
 /// buffer) exists per evaluation, and evaluations never share models across
 /// threads (each Phase I claim evaluates on one thread). No locking, and no
@@ -38,14 +38,29 @@
 #ifndef BRAINY_MACHINE_EVENTBUFFER_H
 #define BRAINY_MACHINE_EVENTBUFFER_H
 
-#include "machine/EventSink.h"
-
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
 namespace brainy {
+
+class MachineModel;
+
+/// Identifies a static conditional-branch site inside a container
+/// implementation. Sites are stable small integers so a bimodal predictor
+/// table can be indexed by them, mirroring per-PC prediction.
+enum class BranchSite : uint32_t {
+  VectorResizeCheck,   ///< capacity check on vector/deque insertion
+  VectorShiftLoop,     ///< element-move loop bound on mid insertion/erase
+  ListWalkLoop,        ///< node-walk loop continuation
+  TreeCompareLeft,     ///< BST descent: go left?
+  TreeRebalance,       ///< rotation-needed check (RB recolour / AVL rotate)
+  HashBucketWalk,      ///< chained-bucket walk continuation
+  HashResizeCheck,     ///< load-factor check on hash insertion
+  SearchHit,           ///< did the current element match the probe key?
+  IterContinue,        ///< generic iteration continuation
+  NumSites
+};
 
 namespace event {
 
@@ -56,33 +71,24 @@ enum Kind : uint64_t {
   Instr = 2,
   Alloc = 3,
   Free = 4,
-  Op = 5,
 };
 
 constexpr uint64_t KindMask = 0xf;
-/// Bit 4 carries the record's boolean (branch taken / op found).
+/// Bit 4 carries the record's boolean (branch taken).
 constexpr uint64_t FlagBit = 1ull << 4;
 /// First payload bit of word0.
 constexpr unsigned PayloadShift = 8;
-/// Op records pack their cost above the op id byte.
-constexpr unsigned OpCostShift = 16;
-
-/// Width in words of the record starting with \p Word0.
-inline size_t recordWords(uint64_t Word0) {
-  uint64_t K = Word0 & KindMask;
-  return (K == Access || K == Op) ? 2 : 1;
-}
 
 } // namespace event
 
-/// Flat append-only buffer of encoded events, flushed to its owning sink's
-/// onBatch when full (or on demand). Sized to stay L1-resident: the drain
-/// loop re-reads what the producing container just wrote.
+/// Flat append-only buffer of encoded events, flushed to its owning
+/// model's onBatch when full (or on demand). Sized to stay L1-resident: the
+/// drain loop re-reads what the producing container just wrote.
 class EventBuffer {
 public:
   static constexpr size_t CapacityWords = 2048;
 
-  explicit EventBuffer(EventSink &Owner) : Owner(Owner) {}
+  explicit EventBuffer(MachineModel &Owner) : Owner(Owner) {}
 
   EventBuffer(const EventBuffer &) = delete;
   EventBuffer &operator=(const EventBuffer &) = delete;
@@ -90,13 +96,7 @@ public:
   bool empty() const { return Size == 0; }
 
   /// Hands every pending record to the owner's onBatch, in append order.
-  void flush() {
-    if (Size == 0)
-      return;
-    size_t N = Size;
-    Size = 0; // Reset first: the drain must see a quiescent buffer.
-    Owner.onBatch(Words.data(), N);
-  }
+  void flush();
 
   void access(uint64_t Addr, uint32_t Bytes) {
     reserve(2);
@@ -134,24 +134,13 @@ public:
     Words[Size++] = event::Free | (Bytes << event::PayloadShift);
   }
 
-  /// One interface-call summary (profiling record; see ContainerOp).
-  void op(ContainerOp Op, bool Found, uint64_t Cost, uint64_t SizeAfter) {
-    assert(Cost < (1ull << 48) && "op cost exceeds the 48-bit record field");
-    reserve(2);
-    Words[Size] = event::Op | (Found ? event::FlagBit : 0) |
-                  (static_cast<uint64_t>(Op) << event::PayloadShift) |
-                  (Cost << event::OpCostShift);
-    Words[Size + 1] = SizeAfter;
-    Size += 2;
-  }
-
 private:
   void reserve(size_t N) {
     if (Size + N > CapacityWords)
       flush();
   }
 
-  EventSink &Owner;
+  MachineModel &Owner;
   size_t Size = 0;
   std::array<uint64_t, CapacityWords> Words;
 };

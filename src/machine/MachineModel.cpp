@@ -10,81 +10,12 @@
 
 using namespace brainy;
 
-EventSink::~EventSink() = default;
-
-OpListener::~OpListener() = default;
-
-void EventSink::onBatch(const uint64_t *Words, size_t Count) {
-  // Reference decoder: replay the encoded stream through the per-event
-  // virtuals in append order. Overriding sinks (MachineModel) fuse the
-  // decode with their step functions instead; both observe the same
-  // sequence, which is what keeps batched delivery bit-identical.
-  for (size_t I = 0; I < Count;) {
-    uint64_t W0 = Words[I];
-    switch (W0 & event::KindMask) {
-    case event::Access:
-      onAccess(Words[I + 1],
-               static_cast<uint32_t>(W0 >> event::PayloadShift));
-      I += 2;
-      break;
-    case event::Branch:
-      onBranch(static_cast<BranchSite>(
-                   static_cast<uint32_t>(W0 >> event::PayloadShift)),
-               (W0 & event::FlagBit) != 0);
-      ++I;
-      break;
-    case event::Instr:
-      onInstructions(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    case event::Alloc:
-      onAlloc(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    case event::Free:
-      onFree(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    case event::Op:
-      if (Ops)
-        Ops->onOp(static_cast<ContainerOp>(
-                      static_cast<uint8_t>(W0 >> event::PayloadShift)),
-                  (W0 & event::FlagBit) != 0, W0 >> event::OpCostShift,
-                  Words[I + 1]);
-      I += 2;
-      break;
-    default:
-      assert(false && "corrupt event record");
-      ++I;
-      break;
-    }
-  }
-}
-
-const char *brainy::branchSiteName(BranchSite Site) {
-  switch (Site) {
-  case BranchSite::VectorResizeCheck:
-    return "vector-resize-check";
-  case BranchSite::VectorShiftLoop:
-    return "vector-shift-loop";
-  case BranchSite::ListWalkLoop:
-    return "list-walk-loop";
-  case BranchSite::TreeCompareLeft:
-    return "tree-compare-left";
-  case BranchSite::TreeRebalance:
-    return "tree-rebalance";
-  case BranchSite::HashBucketWalk:
-    return "hash-bucket-walk";
-  case BranchSite::HashResizeCheck:
-    return "hash-resize-check";
-  case BranchSite::SearchHit:
-    return "search-hit";
-  case BranchSite::IterContinue:
-    return "iter-continue";
-  case BranchSite::NumSites:
-    break;
-  }
-  return "invalid-branch-site";
+void EventBuffer::flush() {
+  if (Size == 0)
+    return;
+  size_t N = Size;
+  Size = 0; // Reset first: the drain must see a quiescent buffer.
+  Owner.onBatch(Words.data(), N);
 }
 
 MachineConfig MachineConfig::core2() {
@@ -131,7 +62,7 @@ MachineModel::MachineModel(MachineConfig Config)
 void MachineModel::onBatch(const uint64_t *Words, size_t Count) {
   // Fused decode + simulate: one switch per record, step functions inlined.
   // Record order is append order, so this charges exactly the cycles the
-  // per-event virtual path would have.
+  // per-event entry points would have.
   for (size_t I = 0; I < Count;) {
     uint64_t W0 = Words[I];
     switch (W0 & event::KindMask) {
@@ -188,14 +119,6 @@ void MachineModel::onBatch(const uint64_t *Words, size_t Count) {
     case event::Free:
       stepFree(W0 >> event::PayloadShift);
       ++I;
-      break;
-    case event::Op:
-      if (Ops)
-        Ops->onOp(static_cast<ContainerOp>(
-                      static_cast<uint8_t>(W0 >> event::PayloadShift)),
-                  (W0 & event::FlagBit) != 0, W0 >> event::OpCostShift,
-                  Words[I + 1]);
-      I += 2;
       break;
     default:
       assert(false && "corrupt event record");

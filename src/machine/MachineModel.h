@@ -25,7 +25,6 @@
 #include "machine/BranchPredictor.h"
 #include "machine/CacheSim.h"
 #include "machine/EventBuffer.h"
-#include "machine/EventSink.h"
 
 #include <string>
 
@@ -98,47 +97,53 @@ struct HardwareCounters {
   }
 };
 
-/// EventSink implementation that accumulates cycles and counters for one
-/// simulated microarchitecture.
+/// Accumulates cycles and counters for one simulated microarchitecture.
 ///
 /// The model owns an EventBuffer: containers wired to it append encoded
 /// records and onBatch replays them through the same inline step functions
-/// the per-event virtuals use, so batched and direct delivery are
-/// bit-identical by construction. Every accessor (counters/cycles/seconds)
-/// and every per-event virtual drains pending records first, preserving
-/// global event order even when direct calls and buffered appends mix.
-class MachineModel : public EventSink {
+/// the per-event entry points use, so batched and direct delivery are
+/// bit-identical by construction. The per-event entry points are the
+/// reference the drain is tested against. Every accessor
+/// (counters/cycles/seconds) and every per-event entry point drains pending
+/// records first, preserving global event order even when direct calls and
+/// buffered appends mix.
+class MachineModel {
 public:
   explicit MachineModel(MachineConfig Config);
 
-  void onAccess(uint64_t Addr, uint32_t Bytes) override {
+  /// A data-memory touch of \p Bytes starting at simulated address \p Addr.
+  void onAccess(uint64_t Addr, uint32_t Bytes) {
     drainPending();
     stepAccess(Addr, Bytes);
   }
-  void onBranch(BranchSite Site, bool Taken) override {
+  /// A data-dependent conditional branch at \p Site resolving to \p Taken.
+  void onBranch(BranchSite Site, bool Taken) {
     drainPending();
     stepBranch(Site, Taken);
   }
-  void onInstructions(uint64_t Count) override {
+  /// \p Count instructions of straight-line work (no memory/branch effects).
+  void onInstructions(uint64_t Count) {
     drainPending();
     stepInstructions(Count);
   }
-  void onAlloc(uint64_t Bytes) override {
+  /// A heap allocation of \p Bytes (allocator bookkeeping cost).
+  void onAlloc(uint64_t Bytes) {
     drainPending();
     stepAlloc(Bytes);
   }
-  void onFree(uint64_t Bytes) override {
+  /// A heap release of \p Bytes.
+  void onFree(uint64_t Bytes) {
     drainPending();
     stepFree(Bytes);
   }
 
   /// The batch-drain kernel: decodes \p Count encoded words and replays
-  /// them through the inline step functions, forwarding Op records to the
-  /// registered OpListener.
-  void onBatch(const uint64_t *Words, size_t Count) override;
+  /// them through the inline step functions.
+  void onBatch(const uint64_t *Words, size_t Count);
 
-  EventBuffer *eventBuffer() override { return &Events; }
-  void flushEvents() override { Events.flush(); }
+  /// The buffer containers append to.
+  EventBuffer *eventBuffer() { return &Events; }
+  void flushEvents() { Events.flush(); }
 
   /// Snapshot of all counters since the last reset(). Drains pending
   /// buffered events first.
@@ -253,9 +258,8 @@ private:
   uint64_t LastL1Slot = InvalidSlot;
   uint32_t L1BlockShift;
   /// Mutable: const accessors drain it; logically the model's counters
-  /// already include pending records. Declared last so it is destroyed
-  /// first — but note containers flush through the sink they hold, so the
-  /// model must outlive its producers regardless.
+  /// already include pending records. Containers append through a pointer
+  /// to it, so the model must outlive its producers.
   mutable EventBuffer Events;
 };
 

@@ -15,25 +15,9 @@ ProfiledContainer::ProfiledContainer(std::unique_ptr<Container> InnerArg)
   assert(Inner && "ProfiledContainer requires a container");
   Accum.Sw.ElementBytes = Inner->elementBytes();
   Inner->setOpListener(&Accum);
-  // With a buffered sink the op records arrive through batch drains; the
-  // sink forwards them to its registered listener.
-  if (EventSink *S = Inner->sink())
-    S->setOpListener(&Accum);
-}
-
-void ProfiledContainer::setSink(EventSink *Sink) {
-  // Drain records still buffered in the old sink before detaching, so no
-  // op is lost across the switch.
-  if (EventSink *Old = Inner->sink())
-    Old->flushEvents();
-  Inner->setSink(Sink);
-  if (Sink)
-    Sink->setOpListener(&Accum);
 }
 
 const SoftwareFeatures &ProfiledContainer::features() const {
-  if (EventSink *S = Inner->sink())
-    S->flushEvents();
   Accum.Sw.Resizes = Inner->resizeCount();
   Accum.Sw.PeakSimBytes = Inner->simPeakBytes();
   Accum.Sw.ElementBytes = Inner->elementBytes();
@@ -41,8 +25,6 @@ const SoftwareFeatures &ProfiledContainer::features() const {
 }
 
 void ProfiledContainer::resetFeatures() {
-  if (EventSink *S = Inner->sink())
-    S->flushEvents();
   Accum.Sw = SoftwareFeatures();
   // The old wrapper's reset took one post-reset sample of the current
   // state; preserve that exactly.

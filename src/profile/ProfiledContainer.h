@@ -11,12 +11,10 @@
 /// records the behaviors ... and then calls the original interfaces",
 /// Section 3).
 ///
-/// Since the event-stream refactor the wrapper no longer counts per call:
-/// it registers an SwAccumulator as the wrapped container's OpListener and
-/// forwards interface calls untouched. The container stamps one Op record
-/// per call into the same encoded stream as its hardware events, so
-/// profiling adds one buffered append per op instead of doubling the
-/// per-op virtual-call count.
+/// The wrapper does not count per call: it registers an SwAccumulator as
+/// the wrapped container's OpListener and forwards interface calls
+/// untouched. The container reports one op per call straight to the
+/// accumulator; its hardware events are the same as an unprofiled run's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +51,6 @@ public:
 
   uint64_t size() const override { return Inner->size(); }
   void clear() override { Inner->clear(); }
-  void setSink(EventSink *Sink) override;
-  EventSink *sink() const override { return Inner->sink(); }
   uint64_t simLiveBytes() const override { return Inner->simLiveBytes(); }
   uint64_t simPeakBytes() const override { return Inner->simPeakBytes(); }
   uint64_t resizeCount() const override { return Inner->resizeCount(); }
@@ -66,9 +62,8 @@ public:
     Inner->setOpListener(Listener);
   }
 
-  /// The software features recorded so far. Drains pending sink events (op
-  /// records ride the event stream) and refreshes the container-derived
-  /// fields (resizes, peak memory, element size).
+  /// The software features recorded so far, with the container-derived
+  /// fields (resizes, peak memory, element size) refreshed.
   const SoftwareFeatures &features() const;
 
   /// Clears recorded features (not the container contents).
@@ -76,8 +71,8 @@ public:
 
 private:
   std::unique_ptr<Container> Inner;
-  /// Mutable: features() is logically const but must drain buffered op
-  /// records and refresh derived fields.
+  /// Mutable: features() is logically const but must refresh derived
+  /// fields.
   mutable SwAccumulator Accum;
 };
 

@@ -7,17 +7,15 @@
 /// \file
 /// OpListener that folds ContainerOp records into SoftwareFeatures — the
 /// devirtualized replacement for ProfiledContainer's per-call counting
-/// wrapper. Containers stamp one Op record per interface call into the
-/// event stream; this accumulator receives them (directly, or forwarded by
-/// the sink as it drains batches) and reproduces the exact accumulation
-/// the wrapper performed, including the per-call size sample.
+/// wrapper. Containers report one op per interface call straight to this
+/// accumulator, which also takes the per-call size sample.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_PROFILE_SWACCUMULATOR_H
 #define BRAINY_PROFILE_SWACCUMULATOR_H
 
-#include "machine/EventSink.h"
+#include "containers/ContainerBase.h"
 #include "profile/Features.h"
 
 namespace brainy {

@@ -48,34 +48,9 @@ WorkloadRun CaseStudy::runProfiled(unsigned Input,
 
 RaceResult CaseStudy::race(unsigned Input,
                            const MachineConfig &Machine) const {
-  RaceResult Result;
-  std::vector<DsKind> Kinds = candidates();
-  std::vector<double> Measured;
-  Measured.reserve(Kinds.size());
-  for (DsKind Kind : Kinds) {
-    WorkloadRun Out = run(Kind, Input, Machine);
-    Result.Cycles[static_cast<unsigned>(Kind)] = Out.Run.Cycles;
-    Measured.push_back(Out.Run.Cycles);
-  }
-  size_t BestIdx = 0;
-  for (size_t I = 1, E = Measured.size(); I != E; ++I)
-    if (Measured[I] < Measured[BestIdx])
-      BestIdx = I;
-  Result.Best = Kinds[BestIdx];
-  if (Kinds.size() > 1 && Measured[BestIdx] > 0) {
-    double Second = 0;
-    bool HaveSecond = false;
-    for (size_t I = 0, E = Measured.size(); I != E; ++I) {
-      if (I == BestIdx)
-        continue;
-      if (!HaveSecond || Measured[I] < Second) {
-        Second = Measured[I];
-        HaveSecond = true;
-      }
-    }
-    Result.Margin = (Second - Measured[BestIdx]) / Measured[BestIdx];
-  }
-  return Result;
+  return raceWith(candidates(), [&](DsKind Kind) {
+    return run(Kind, Input, Machine).Run.Cycles;
+  });
 }
 
 DsKind brainy::asMapVariant(DsKind Kind, bool MapUsage) {

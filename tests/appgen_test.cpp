@@ -219,14 +219,35 @@ TEST(AppRunnerTest, ProfiledRunMatchesSpecShape) {
 }
 
 TEST(AppRunnerTest, ProfiledCyclesMatchPlainRun) {
-  // Profiling wrappers must observe, not perturb: same simulated cycles.
+  // Profiling must observe, not perturb: every counter of a profiled run
+  // equals the plain run's, on every kind and both machines.
   AppConfig Cfg;
   Cfg.TotalInterfCalls = 300;
-  AppSpec Spec = AppSpec::fromSeed(55, Cfg);
-  MachineConfig MC = MachineConfig::atom();
-  RunOutcome Plain = runApp(Spec, DsKind::Set, MC);
-  ProfiledOutcome Profiled = runAppProfiled(Spec, DsKind::Set, MC);
-  EXPECT_DOUBLE_EQ(Plain.Cycles, Profiled.Run.Cycles);
+  for (const MachineConfig &MC :
+       {MachineConfig::core2(), MachineConfig::atom()})
+    for (uint64_t Seed : {3, 55, 321, 777}) {
+      AppSpec Spec = AppSpec::fromSeed(Seed, Cfg);
+      for (unsigned K = 0; K != NumDsKinds; ++K) {
+        auto Kind = static_cast<DsKind>(K);
+        SCOPED_TRACE(MC.Name + " seed " + std::to_string(Seed) + " " +
+                     dsKindName(Kind));
+        RunOutcome Plain = runApp(Spec, Kind, MC);
+        RunOutcome Profiled = runAppProfiled(Spec, Kind, MC).Run;
+        EXPECT_EQ(Plain.Cycles, Profiled.Cycles);
+        EXPECT_EQ(Plain.Hw.Cycles, Profiled.Hw.Cycles);
+        EXPECT_EQ(Plain.Hw.Instructions, Profiled.Hw.Instructions);
+        EXPECT_EQ(Plain.Hw.L1Accesses, Profiled.Hw.L1Accesses);
+        EXPECT_EQ(Plain.Hw.L1Misses, Profiled.Hw.L1Misses);
+        EXPECT_EQ(Plain.Hw.L2Accesses, Profiled.Hw.L2Accesses);
+        EXPECT_EQ(Plain.Hw.L2Misses, Profiled.Hw.L2Misses);
+        EXPECT_EQ(Plain.Hw.Branches, Profiled.Hw.Branches);
+        EXPECT_EQ(Plain.Hw.BranchMispredicts, Profiled.Hw.BranchMispredicts);
+        EXPECT_EQ(Plain.Hw.Allocations, Profiled.Hw.Allocations);
+        EXPECT_EQ(Plain.Hw.Frees, Profiled.Hw.Frees);
+        EXPECT_EQ(Plain.FinalSize, Profiled.FinalSize);
+        EXPECT_EQ(Plain.PeakSimBytes, Profiled.PeakSimBytes);
+      }
+    }
 }
 
 TEST(AppRunnerTest, InitialSizePrepopulates) {

@@ -2,9 +2,10 @@
 #
 # Part of the Brainy reproduction of PLDI 2011's "Brainy".
 #
-# Drives the full adoption pipeline over the bundled case studies
-# (examples/apply): plan with --dry-run --json, demand zero rejections
-# and the cross-family vector -> unordered_set upgrade, write the
+# Checks that `check` and `apply --dry-run` exit 2 on an unreadable path
+# (a directory), then drives the full adoption pipeline over the bundled
+# case studies (examples/apply): plan with --dry-run --json, demand zero
+# rejections and the cross-family vector -> unordered_set upgrade, write the
 # .brainy.cpp siblings, compile original and rewritten with the same
 # compiler, run both and byte-compare stdout, and finally prove
 # idempotence by re-applying in place and byte-comparing the file.
@@ -29,6 +30,21 @@ foreach(Case ${Cases})
   configure_file("${SRC_DIR}/${Case}.cpp" "${WORK_DIR}/${Case}.cpp" COPYONLY)
   list(APPEND CaseFiles "${WORK_DIR}/${Case}.cpp")
 endforeach()
+
+# --- An unreadable path (a directory) fails like a missing file: exit 2 ------
+execute_process(
+  COMMAND "${BRAINY}" check "${WORK_DIR}"
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR "apply gate: check on a directory exited ${Rc}, not 2")
+endif()
+execute_process(
+  COMMAND "${BRAINY}" apply --dry-run "${WORK_DIR}"
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR
+          "apply gate: apply --dry-run on a directory exited ${Rc}, not 2")
+endif()
 
 # --- Plan: --dry-run --json must succeed with zero rejections ----------------
 execute_process(

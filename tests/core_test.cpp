@@ -42,6 +42,41 @@ TEST(OracleTest, SingleCandidateHasZeroMargin) {
   EXPECT_DOUBLE_EQ(Race.Margin, 0.0);
 }
 
+TEST(OracleTest, RaceWithAppliesFootnoteTwoRule) {
+  const std::vector<DsKind> Kinds = {DsKind::Vector, DsKind::List,
+                                     DsKind::Deque};
+  auto Race = [&](std::vector<double> Cycles) {
+    std::vector<DsKind> Candidates(Kinds.begin(),
+                                   Kinds.begin() + Cycles.size());
+    std::vector<DsKind> Asked;
+    RaceResult R = raceWith(Candidates, [&](DsKind Kind) {
+      Asked.push_back(Kind);
+      return Cycles[Asked.size() - 1];
+    });
+    // Each candidate is measured once, in order, and recorded.
+    EXPECT_EQ(Asked, Candidates);
+    for (size_t I = 0; I != Cycles.size(); ++I)
+      EXPECT_EQ(R.cyclesOf(Kinds[I]), Cycles[I]);
+    return R;
+  };
+
+  RaceResult Tie = Race({100, 80, 80});
+  EXPECT_EQ(Tie.Best, DsKind::List); // ties keep the earliest
+  EXPECT_EQ(Tie.Margin, 0.0);
+
+  RaceResult Clear = Race({100, 80, 90});
+  EXPECT_EQ(Clear.Best, DsKind::List);
+  EXPECT_EQ(Clear.Margin, 0.125);
+
+  RaceResult Single = Race({100});
+  EXPECT_EQ(Single.Best, DsKind::Vector);
+  EXPECT_EQ(Single.Margin, 0.0);
+
+  RaceResult Free = Race({5, 0, 3});
+  EXPECT_EQ(Free.Best, DsKind::List);
+  EXPECT_EQ(Free.Margin, 0.0);
+}
+
 TEST(OracleTest, OracleBestHonoursOrderObliviousness) {
   AppConfig Cfg;
   Cfg.TotalInterfCalls = 200;

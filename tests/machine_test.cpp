@@ -12,9 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-#include <vector>
-
 using namespace brainy;
 
 //===----------------------------------------------------------------------===//
@@ -315,7 +312,7 @@ TEST(MachineModelTest, SecondsUsesClock) {
 namespace {
 
 /// Plays a deterministic mixed event sequence into \p M, either through
-/// the per-event virtuals or through its event buffer. The mix is chosen
+/// the per-event entry points or through its event buffer. The mix is chosen
 /// to cross every onBatch path: long same-block runs (the coalesced MRU
 /// fast path), runs broken by branches and instruction bursts, sequential
 /// scans (prefetch fills), random touches, and alloc/free traffic.
@@ -392,7 +389,7 @@ TEST(EventStreamTest, BatchedDeliveryIsBitIdenticalToDirectCalls) {
 }
 
 TEST(EventStreamTest, InterleavedDirectAndBufferedCallsStayOrdered) {
-  // A direct virtual call must observe everything buffered before it:
+  // A direct per-event call must observe everything buffered before it:
   // the per-event entry points drain the pending buffer first.
   MachineConfig Cfg = MachineConfig::core2();
   MachineModel Direct(Cfg), Mixed(Cfg);
@@ -412,31 +409,6 @@ TEST(EventStreamTest, InterleavedDirectAndBufferedCallsStayOrdered) {
   Mixed.flushEvents();
   EXPECT_EQ(Direct.cycles(), Mixed.cycles());
   EXPECT_EQ(Direct.counters().BranchMispredicts, Mixed.counters().BranchMispredicts);
-}
-
-TEST(EventStreamTest, OpRecordsReachTheListenerInOrder) {
-  struct Recorder final : OpListener {
-    std::vector<std::tuple<ContainerOp, bool, uint64_t, uint64_t>> Ops;
-    void onOp(ContainerOp Op, bool Found, uint64_t Cost,
-              uint64_t SizeAfter) override {
-      Ops.emplace_back(Op, Found, Cost, SizeAfter);
-    }
-  };
-  Recorder Direct, Buffered;
-
-  MachineModel M(MachineConfig::core2());
-  M.setOpListener(&Buffered);
-  EventBuffer *Buf = M.eventBuffer();
-  for (uint64_t I = 0; I != 300; ++I) {
-    ContainerOp Op = static_cast<ContainerOp>(
-        I % static_cast<uint64_t>(ContainerOp::NumOps));
-    bool Found = (I % 3) == 0;
-    uint64_t Cost = I * 7 + 1;
-    Direct.onOp(Op, Found, Cost, I);
-    Buf->op(Op, Found, Cost, I);
-  }
-  M.flushEvents();
-  EXPECT_EQ(Direct.Ops, Buffered.Ops);
 }
 
 TEST(EventStreamTest, BufferAutoFlushesWhenFull) {

@@ -421,18 +421,12 @@ int cmdSurvey(const Args &A) {
   }
   std::map<std::string, uint64_t> Totals;
   for (const std::string &Path : A.Positional) {
-    std::FILE *F = std::fopen(Path.c_str(), "rb");
-    if (!F) {
-      std::fprintf(stderr, "cannot open '%s'\n", Path.c_str());
+    Expected<std::string> Text = readFile(Path);
+    if (!Text) {
+      std::fprintf(stderr, "%s\n", Text.error().message().c_str());
       continue;
     }
-    std::string Text;
-    char Buf[8192];
-    size_t N;
-    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Text.append(Buf, N);
-    std::fclose(F);
-    mergeCounts(Totals, countContainerRefs(Text));
+    mergeCounts(Totals, countContainerRefs(*Text));
   }
   for (const auto &KV : Totals)
     if (KV.second)
@@ -447,19 +441,13 @@ bool readSources(const std::vector<std::string> &Paths,
                  std::vector<std::pair<std::string, std::string>> &Out) {
   bool Ok = true;
   for (const std::string &Path : Paths) {
-    std::FILE *F = std::fopen(Path.c_str(), "rb");
-    if (!F) {
-      std::fprintf(stderr, "brainy: cannot open '%s'\n", Path.c_str());
+    Expected<std::string> Text = readFile(Path);
+    if (!Text) {
+      std::fprintf(stderr, "brainy: %s\n", Text.error().message().c_str());
       Ok = false;
       continue;
     }
-    std::string Text;
-    char Buf[8192];
-    size_t N;
-    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Text.append(Buf, N);
-    std::fclose(F);
-    Out.emplace_back(Path, std::move(Text));
+    Out.emplace_back(Path, std::move(*Text));
   }
   return Ok;
 }
@@ -578,22 +566,23 @@ std::vector<std::string> splitList(const std::string &Spec) {
 
 /// Reads a whole file ("-" = stdin) into \p Out.
 bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = Path == "-" ? stdin : std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    std::fprintf(stderr, "brainy: cannot open '%s': %s\n", Path.c_str(),
-                 std::strerror(errno));
-    return false;
+  if (Path != "-") {
+    Expected<std::string> Text = readFile(Path);
+    if (!Text) {
+      std::fprintf(stderr, "brainy: %s\n", Text.error().message().c_str());
+      return false;
+    }
+    Out = std::move(*Text);
+    return true;
   }
   char Buf[1 << 16];
   size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) != 0)
+  while ((N = std::fread(Buf, 1, sizeof(Buf), stdin)) != 0)
     Out.append(Buf, N);
-  bool Ok = !std::ferror(F);
-  if (F != stdin)
-    std::fclose(F);
-  if (!Ok)
-    std::fprintf(stderr, "brainy: read error on '%s'\n", Path.c_str());
-  return Ok;
+  if (!std::ferror(stdin))
+    return true;
+  std::fprintf(stderr, "brainy: read error on stdin\n");
+  return false;
 }
 
 /// The bundle paths of a serving-shaped command: --models is a
