@@ -20,15 +20,6 @@
 /// saves. Because measurements are pure, two shards measuring the same key
 /// record identical values and merge order cannot change any result.
 ///
-/// Remote-backed tier (distributed Phase I, DESIGN.md §10): a cache can be
-/// given a RemoteFetchFn. A Shard whose local overlay and shared map both
-/// miss then asks the remote tier — in practice the coordinator's cache,
-/// served over the worker transport and keyed by (config, machine, seed,
-/// kind) with config and machine fixed per connection — before paying for
-/// a measurement. Remote hits land in the overlay but are excluded from
-/// freshRecords(), so a worker never echoes the coordinator's own entries
-/// back at it.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_CORE_MEASUREMENTCACHE_H
@@ -43,24 +34,18 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 namespace brainy {
 
-/// One seed's measured cycles, as exchanged with a remote cache tier and
-/// as merged back from distributed workers. Mask bit i covers Cycles[i].
+/// One seed's measured cycles, as sent to distributed workers with a chunk
+/// and merged back from them. Mask bit i covers Cycles[i].
 struct CycleRecord {
   uint64_t Seed = 0;
   unsigned Mask = 0;
   std::array<double, NumDsKinds> Cycles{};
 };
-
-/// Fetches every known measurement for a seed from a remote tier. Returns
-/// false (and leaves \p Out.Mask zero) on a remote miss; transport errors
-/// surface as exceptions and fail the seed like any evaluation fault.
-using RemoteFetchFn = std::function<bool(uint64_t Seed, CycleRecord &Out)>;
 
 /// Per-(seed, DsKind) cycle memo. Every access to the shared map holds
 /// MapMutex; a shard's own overlay is private to the thread using it.
@@ -93,22 +78,6 @@ public:
           !FaultInjector::instance().shouldFail(FaultSite::CacheLookup, Seed,
                                                 /*Salt=*/I))
         return Cycles;
-      // Remote tier: ask once per seed per shard. A shard serves one chunk,
-      // and no other chunk evaluates its seeds, so a second query for the
-      // same seed could not learn more.
-      if (Parent->Remote && RemoteTried.insert(Seed).second) {
-        CycleRecord Rec;
-        if (Parent->Remote(Seed, Rec) && Rec.Mask) {
-          Entry &E = Fresh[Seed];
-          for (unsigned K = 0; K != NumDsKinds; ++K)
-            if ((Rec.Mask & (1u << K)) && !(E.MeasuredMask & (1u << K)))
-              E.Cycles[K] = Rec.Cycles[K];
-          E.MeasuredMask |= Rec.Mask;
-          RemoteMask[Seed] |= Rec.Mask;
-          if (E.MeasuredMask & Bit)
-            return E.Cycles[I];
-        }
-      }
       Parent->FreshCount.fetch_add(1, std::memory_order_relaxed);
       Cycles = Measure();
       Entry &E = Fresh[Seed];
@@ -118,9 +87,8 @@ public:
     }
 
     /// The measurements this shard performed itself for seeds in
-    /// [\p BeginSeed, \p EndSeed), in seed order, excluding entries that
-    /// were fetched from the remote tier. This is what a distributed
-    /// worker streams back to the coordinator after a chunk.
+    /// [\p BeginSeed, \p EndSeed), in seed order. This is what a
+    /// distributed worker sends back to the coordinator after a chunk.
     std::vector<CycleRecord> freshRecords(uint64_t BeginSeed,
                                           uint64_t EndSeed) const {
       std::vector<CycleRecord> Out;
@@ -128,15 +96,9 @@ public:
         auto It = Fresh.find(Seed);
         if (It == Fresh.end())
           continue;
-        unsigned Mask = It->second.MeasuredMask;
-        auto RIt = RemoteMask.find(Seed);
-        if (RIt != RemoteMask.end())
-          Mask &= ~RIt->second;
-        if (!Mask)
-          continue;
         CycleRecord Rec;
         Rec.Seed = Seed;
-        Rec.Mask = Mask;
+        Rec.Mask = It->second.MeasuredMask;
         Rec.Cycles = It->second.Cycles;
         Out.push_back(Rec);
       }
@@ -149,18 +111,9 @@ public:
 
     const MeasurementCache *Parent;
     std::unordered_map<uint64_t, Entry> Fresh;
-    /// Kind bits of Fresh entries that came from the remote tier, not from
-    /// a local measurement.
-    std::unordered_map<uint64_t, unsigned> RemoteMask;
-    /// Seeds already asked of the remote tier (hit or miss).
-    std::set<uint64_t> RemoteTried;
   };
 
   Shard shard() const { return Shard(*this); }
-
-  /// Installs the remote tier consulted by shards on a shared-map miss.
-  /// Setup-time only: call before any shard exists.
-  void setRemoteTier(RemoteFetchFn Fn) { Remote = std::move(Fn); }
 
   /// Folds a shard's fresh measurements into the shared map; other shards
   /// may be live. Hash-order iteration is safe here: entries are combined
@@ -173,8 +126,6 @@ public:
     for (auto &KV : S.Fresh)
       fold(KV.first, KV.second.MeasuredMask, KV.second.Cycles);
     S.Fresh.clear();
-    S.RemoteMask.clear();
-    S.RemoteTried.clear();
   }
 
   /// Folds one record streamed back from a distributed worker. Same
@@ -188,8 +139,8 @@ public:
   }
 
   /// mergeRecord without the fresh accounting — the load path for records
-  /// restored from a persisted measurement cache (MeasurementStore), which
-  /// were computed by an earlier run.
+  /// computed elsewhere: restored from a persisted measurement cache
+  /// (MeasurementStore), or sent to a worker with its chunk.
   void restoreRecord(const CycleRecord &Rec) BRAINY_EXCLUDES(MapMutex) {
     MutexLock Lock(MapMutex);
     fold(Rec.Seed, Rec.Mask, Rec.Cycles);
@@ -226,10 +177,9 @@ public:
     return FreshCount.load(std::memory_order_relaxed);
   }
 
-  /// Everything known about \p Seed, for serving a remote tier. Returns
-  /// false when no kind of the seed is cached. Thread-safe: the
-  /// coordinator answers worker lookups while other chunks' records are
-  /// being merged.
+  /// Everything known about \p Seed, for sending with a distributed chunk.
+  /// Returns false when no kind of the seed is cached. Thread-safe: the
+  /// coordinator reads it while other chunks' records are being merged.
   bool lookupAll(uint64_t Seed, CycleRecord &Out) const
       BRAINY_EXCLUDES(MapMutex) {
     MutexLock Lock(MapMutex);
@@ -279,8 +229,6 @@ private:
 
   mutable Mutex MapMutex;
   std::unordered_map<uint64_t, Entry> Map BRAINY_GUARDED_BY(MapMutex);
-  /// Optional remote tier; set at setup time, immutable afterwards.
-  RemoteFetchFn Remote;
   /// Fresh-measurement tally (see freshMeasurements()). A relaxed atomic,
   /// not MapMutex state: shards bump it lock-free from worker threads and
   /// it feeds only diagnostics, never a training result.

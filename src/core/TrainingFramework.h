@@ -374,7 +374,7 @@ public:
   ThreadPool &pool() const;
 
   /// The shared (seed, kind) -> cycles memo (exposed for tests/benches,
-  /// and — non-const — for the distributed worker's remote cache tier).
+  /// and — non-const — for Brainy::train to fold in a fleet's records).
   const MeasurementCache &measurements() const { return Cache; }
   MeasurementCache &measurements() { return Cache; }
 

@@ -42,9 +42,8 @@ Coordinator::Coordinator(const MachineConfig &Machine,
   InitContext.ExcludeSeeds.assign(Options.ExcludeSeeds.begin(),
                                   Options.ExcludeSeeds.end());
   // Warm start (DESIGN.md §12): preload the persisted measurement cache
-  // into the cache served to workers, so warm distributed runs answer
-  // every worker lookup from disk-restored records and no worker
-  // re-simulates a cached seed. Only a simply-missing file stays quiet.
+  // whose records ride with each chunk, so no worker re-simulates a
+  // cached seed. Only a simply-missing file stays quiet.
   if (!Options.MeasurementCacheFile.empty()) {
     Expected<size_t> Count = loadMeasurements(
         Options.MeasurementCacheFile, Cache, Options.GenConfig, Machine);
@@ -159,45 +158,31 @@ bool Coordinator::runChunk(unsigned I, uint64_t BeginSeed, uint64_t EndSeed,
     Req.BeginSeed = BeginSeed;
     Req.EndSeed = EndSeed;
     Req.Wanted = Wanted;
+    // No other chunk in flight evaluates these seeds, so what the cache
+    // holds for them now is everything the worker could use.
+    for (uint64_t Seed = BeginSeed; Seed != EndSeed; ++Seed) {
+      CycleRecord Rec;
+      if (Cache.lookupAll(Seed, Rec))
+        Req.Known.push_back(Rec);
+    }
     sendFrame(*S.Conn.Link, encodeEvalChunk(Req));
     FI.maybeThrow(FaultSite::NetIo, BeginSeed, NetSaltTimeout,
                   "transport read timed out");
     std::string Payload;
-    while (true) {
-      if (!recvFrame(*S.Conn.Link, Payload, ChunkTimeoutMs))
-        throw ErrorException(
-            Error(ErrCode::IoError, "worker closed the stream mid-chunk"));
-      switch (payloadKind(Payload)) {
-      case MsgKind::CacheGet: {
-        // Serve the shared cache. Whether a lookup hits can depend on how
-        // far other chunks have merged — but measurements are pure, so a
-        // miss only re-measures the identical value; no outcome bit can
-        // depend on this timing.
-        CacheGetMsg Get = decodeCacheGet(Payload);
-        CacheHitMsg Hit;
-        Hit.Found = Cache.lookupAll(Get.Seed, Hit.Rec);
-        sendFrame(*S.Conn.Link, encodeCacheHit(Hit));
-        break;
-      }
-      case MsgKind::ChunkDone: {
-        FI.maybeThrow(FaultSite::NetIo, BeginSeed, NetSaltShortRead,
-                      "peer closed mid-datum (short read)");
-        ChunkDoneMsg Done = decodeChunkDone(Payload);
-        if (Done.BeginSeed != BeginSeed ||
-            Done.Slots.size() != static_cast<size_t>(EndSeed - BeginSeed))
-          throw ErrorException(Error(
-              ErrCode::BadFormat, "ChunkDone does not match the request"));
-        for (const CycleRecord &Rec : Done.Fresh)
-          Cache.mergeRecord(Rec);
-        Out = std::move(Done.Slots);
-        return true;
-      }
-      default:
-        throw ErrorException(
-            Error(ErrCode::BadFormat,
-                  "unexpected message while awaiting ChunkDone"));
-      }
-    }
+    if (!recvFrame(*S.Conn.Link, Payload, ChunkTimeoutMs))
+      throw ErrorException(
+          Error(ErrCode::IoError, "worker closed the stream mid-chunk"));
+    FI.maybeThrow(FaultSite::NetIo, BeginSeed, NetSaltShortRead,
+                  "peer closed mid-datum (short read)");
+    ChunkDoneMsg Done = decodeChunkDone(Payload);
+    if (Done.BeginSeed != BeginSeed ||
+        Done.Slots.size() != static_cast<size_t>(EndSeed - BeginSeed))
+      throw ErrorException(
+          Error(ErrCode::BadFormat, "ChunkDone does not match the request"));
+    for (const CycleRecord &Rec : Done.Fresh)
+      Cache.mergeRecord(Rec);
+    Out = std::move(Done.Slots);
+    return true;
   } catch (const std::exception &E) {
     std::fprintf(
         stderr,

@@ -7,11 +7,11 @@
 /// \file
 /// The coordinator half of distributed Phase I (DESIGN.md §10): a
 /// ChunkEvalService whose workers each claim their next chunk from the
-/// framework's PhaseOneWindow as soon as they are free, that serves them
-/// shared MeasurementCache lookups over the same transport, and converts
-/// worker death or timeout into skipped seeds — the chunk's slots come
-/// back Ok=false, the framework's ordered merge records them as
-/// PhaseOneResult::SkippedSeeds, and the surviving result is
+/// framework's PhaseOneWindow as soon as they are free, that sends each
+/// chunk with the shared MeasurementCache's records for its seeds, and
+/// converts worker death or timeout into skipped seeds — the chunk's
+/// slots come back Ok=false, the framework's ordered merge records them
+/// as PhaseOneResult::SkippedSeeds, and the surviving result is
 /// bit-identical to a serial run whose seed stream never contained those
 /// seeds (the ExcludeSeeds equivalence, asserted in tests and CI).
 ///
@@ -106,7 +106,7 @@ public:
     return DeclaredDead.load(std::memory_order_relaxed);
   }
 
-  /// The shared measurement cache served to workers (exposed for tests).
+  /// The shared measurement cache sent to workers (exposed for tests).
   const MeasurementCache &cache() const { return Cache; }
 
   /// Brainy::train folds these records into the framework's own cache
@@ -136,8 +136,8 @@ private:
   bool ensureWorker(unsigned I);
   /// Drops the link, reaps the worker, marks the slot dead.
   void dropWorker(unsigned I);
-  /// Full request/serve/reply cycle for one chunk on worker \p I. Returns
-  /// false — never throws — when the worker was lost; \p Out is then left
+  /// One EvalChunk and its ChunkDone on worker \p I. Returns false —
+  /// never throws — when the worker was lost; \p Out is then left
   /// untouched (all-skipped).
   bool runChunk(unsigned I, uint64_t BeginSeed, uint64_t EndSeed,
                 const std::array<bool, NumModelKinds> &Wanted,
@@ -147,8 +147,8 @@ private:
   unsigned NumWorkers;
   WorkerLauncher Launcher;
   int ChunkTimeoutMs;
-  /// The shared (config, machine, seed, kind) cache service. Internally
-  /// locked; served and fed concurrently by all drivers.
+  /// The shared (seed, kind) cache; config and machine are fixed per run.
+  /// Internally locked; read and fed concurrently by all drivers.
   MeasurementCache Cache;
   /// Slot I is touched only by driver I — drivers partition slots, so no
   /// lock is needed.

@@ -21,6 +21,10 @@ namespace {
 /// any real message (a full chunk's ChunkDone is a few KiB).
 constexpr uint32_t MaxFrameBytes = 16u << 20;
 
+/// Deepest next-line prefetch an Init may ask the simulator for; the
+/// presets use 1 and 2, and each access walks the whole depth.
+constexpr unsigned MaxPrefetchDepth = 64;
+
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
@@ -148,6 +152,34 @@ CycleRecord getCycleRecord(ByteReader &R) {
   return Rec;
 }
 
+void putCycleRecords(ByteWriter &W, const std::vector<CycleRecord> &Recs) {
+  W.u32(static_cast<uint32_t>(Recs.size()));
+  for (const CycleRecord &Rec : Recs)
+    putCycleRecord(W, Rec);
+}
+
+/// Reads the records of the chunk that starts at \p BeginSeed and spans
+/// \p NumSeeds seeds. Seeds must be strictly increasing and inside the
+/// chunk, so the list is never longer than the chunk.
+std::vector<CycleRecord> getCycleRecords(ByteReader &R, uint64_t BeginSeed,
+                                         uint64_t NumSeeds) {
+  uint32_t N = R.count(12);
+  std::vector<CycleRecord> Recs;
+  uint64_t MinOffset = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    Recs.push_back(getCycleRecord(R));
+    // A seed below BeginSeed wraps to an offset past the chunk.
+    uint64_t Offset = Recs.back().Seed - BeginSeed;
+    if (Offset < MinOffset || Offset >= NumSeeds)
+      throw ErrorException(
+          Error(ErrCode::BadFormat,
+                "cycle record for seed " + std::to_string(Recs.back().Seed) +
+                    " is out of order or outside its chunk"));
+    MinOffset = Offset + 1;
+  }
+  return Recs;
+}
+
 } // namespace
 
 void dist::sendFrame(Transport &T, const std::string &Payload) {
@@ -271,6 +303,10 @@ InitMsg dist::decodeInit(const std::string &Payload) {
   M.Machine.AllocInstructions = R.f64();
   M.Machine.FreeInstructions = R.f64();
   M.Machine.ClockGhz = R.f64();
+  if (!M.Machine.L1.valid() || !M.Machine.L2.valid() ||
+      M.Machine.PrefetchDepth > MaxPrefetchDepth)
+    throw ErrorException(Error(ErrCode::BadFormat,
+                               "machine model the simulator cannot run"));
   M.Config.TotalInterfCalls = R.u64();
   uint32_t NumSizes = R.count(8);
   M.Config.DataElemSizes.clear();
@@ -301,6 +337,7 @@ std::string dist::encodeEvalChunk(const EvalChunkMsg &M) {
   W.u64(M.EndSeed);
   for (unsigned I = 0; I != NumModelKinds; ++I)
     W.u8(M.Wanted[I] ? 1 : 0);
+  putCycleRecords(W, M.Known);
   return W.take();
 }
 
@@ -310,48 +347,12 @@ EvalChunkMsg dist::decodeEvalChunk(const std::string &Payload) {
   EvalChunkMsg M;
   M.BeginSeed = R.u64();
   M.EndSeed = R.u64();
-  if (M.EndSeed < M.BeginSeed ||
-      M.EndSeed - M.BeginSeed > MaxFrameBytes)
+  if (M.EndSeed < M.BeginSeed || M.EndSeed - M.BeginSeed > PhaseOneChunk)
     throw ErrorException(
         Error(ErrCode::BadFormat, "chunk seed range is malformed"));
   for (unsigned I = 0; I != NumModelKinds; ++I)
     M.Wanted[I] = R.u8() != 0;
-  R.done();
-  return M;
-}
-
-std::string dist::encodeCacheGet(const CacheGetMsg &M) {
-  ByteWriter W;
-  W.u8(static_cast<uint8_t>(MsgKind::CacheGet));
-  W.u64(M.Seed);
-  return W.take();
-}
-
-CacheGetMsg dist::decodeCacheGet(const std::string &Payload) {
-  ByteReader R(Payload);
-  expectKind(R, MsgKind::CacheGet);
-  CacheGetMsg M;
-  M.Seed = R.u64();
-  R.done();
-  return M;
-}
-
-std::string dist::encodeCacheHit(const CacheHitMsg &M) {
-  ByteWriter W;
-  W.u8(static_cast<uint8_t>(MsgKind::CacheHit));
-  W.u8(M.Found ? 1 : 0);
-  if (M.Found)
-    putCycleRecord(W, M.Rec);
-  return W.take();
-}
-
-CacheHitMsg dist::decodeCacheHit(const std::string &Payload) {
-  ByteReader R(Payload);
-  expectKind(R, MsgKind::CacheHit);
-  CacheHitMsg M;
-  M.Found = R.u8() != 0;
-  if (M.Found)
-    M.Rec = getCycleRecord(R);
+  M.Known = getCycleRecords(R, M.BeginSeed, M.EndSeed - M.BeginSeed);
   R.done();
   return M;
 }
@@ -371,9 +372,7 @@ std::string dist::encodeChunkDone(const ChunkDoneMsg &M) {
       W.u32(O.NumCandidates);
     }
   }
-  W.u32(static_cast<uint32_t>(M.Fresh.size()));
-  for (const CycleRecord &Rec : M.Fresh)
-    putCycleRecord(W, Rec);
+  putCycleRecords(W, M.Fresh);
   return W.take();
 }
 
@@ -399,10 +398,7 @@ ChunkDoneMsg dist::decodeChunkDone(const std::string &Payload) {
       O.NumCandidates = R.u32();
     }
   }
-  uint32_t NumFresh = R.count(12);
-  M.Fresh.reserve(NumFresh);
-  for (uint32_t I = 0; I != NumFresh; ++I)
-    M.Fresh.push_back(getCycleRecord(R));
+  M.Fresh = getCycleRecords(R, M.BeginSeed, NumSlots);
   R.done();
   return M;
 }

@@ -16,20 +16,17 @@
 /// all fixed-width integers little-endian, doubles as their IEEE-754 bit
 /// pattern in a u64. The payload's first byte is the MsgKind.
 ///
-/// Conversation shape (one coordinator thread per worker, strictly
-/// request/response from the coordinator's side):
+/// Conversation shape (one coordinator thread per worker, one request and
+/// one reply per chunk):
 ///
 ///   coordinator -> worker:  Init, then per chunk EvalChunk, finally
 ///                           Shutdown.
-///   worker -> coordinator:  zero or more CacheGet (answered inline with
-///                           CacheHit) followed by exactly one ChunkDone
-///                           per EvalChunk.
+///   worker -> coordinator:  exactly one ChunkDone per EvalChunk.
 ///
 /// Init re-states the full evaluation context — wire magic, machine
-/// model, generator config, retry policy, excluded seeds — so a worker is
-/// a pure function of its byte stream: the cache key (config, machine,
-/// seed, kind) has config and machine pinned per connection, leaving
-/// (seed, kind) on the wire.
+/// model, generator config, retry policy, excluded seeds — and each
+/// EvalChunk carries the coordinator's measurements for its seeds, so a
+/// ChunkDone depends only on Init and its own EvalChunk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,14 +47,12 @@ namespace dist {
 
 /// Protocol identifier carried inside Init. Bump the suffix on any
 /// incompatible change.
-inline constexpr const char *WireMagic = "brainy-wire-v1";
+inline constexpr const char *WireMagic = "brainy-wire-v2";
 
 /// First payload byte of every message.
 enum class MsgKind : uint8_t {
   Init = 1,
   EvalChunk,
-  CacheGet,
-  CacheHit,
   ChunkDone,
   Shutdown,
 };
@@ -73,29 +68,20 @@ struct InitMsg {
   std::vector<uint64_t> ExcludeSeeds;
 };
 
-/// Coordinator -> worker: evaluate seeds [BeginSeed, EndSeed) against the
-/// dispatch-time Wanted snapshot.
+/// Coordinator -> worker: evaluate seeds [BeginSeed, EndSeed), at most
+/// PhaseOneChunk of them, against the dispatch-time Wanted snapshot.
+/// Known holds the coordinator's measurements for those seeds, in seed
+/// order, at most one record per seed; the worker measures only the rest.
 struct EvalChunkMsg {
   uint64_t BeginSeed = 0;
   uint64_t EndSeed = 0;
   std::array<bool, NumModelKinds> Wanted{};
-};
-
-/// Worker -> coordinator: ask the shared measurement cache about a seed.
-struct CacheGetMsg {
-  uint64_t Seed = 0;
-};
-
-/// Coordinator -> worker: everything the shared cache knows about the
-/// requested seed (Found=false on a miss).
-struct CacheHitMsg {
-  bool Found = false;
-  CycleRecord Rec;
+  std::vector<CycleRecord> Known;
 };
 
 /// Worker -> coordinator: one slot per seed of the chunk in seed order,
-/// plus the measurements the worker performed itself (remote hits
-/// excluded), for folding into the shared cache.
+/// plus the measurements the worker performed itself (Known excluded), in
+/// seed order, for folding into the shared cache.
 struct ChunkDoneMsg {
   uint64_t BeginSeed = 0;
   std::vector<SeedEvalResult> Slots;
@@ -117,18 +103,16 @@ MsgKind payloadKind(const std::string &Payload);
 
 std::string encodeInit(const InitMsg &M);
 std::string encodeEvalChunk(const EvalChunkMsg &M);
-std::string encodeCacheGet(const CacheGetMsg &M);
-std::string encodeCacheHit(const CacheHitMsg &M);
 std::string encodeChunkDone(const ChunkDoneMsg &M);
 std::string encodeShutdown();
 
 /// Decoders throw ErrorException — BadFormat for a wrong kind byte or
-/// malformed structure, Truncated for a payload that ends early, BadMagic
-/// when Init carries an unknown wire magic.
+/// malformed structure (including an Init machine the simulator cannot
+/// run, a chunk longer than PhaseOneChunk seeds, and a cycle record out of
+/// seed order or outside its chunk), Truncated for a payload that ends
+/// early, BadMagic when Init carries an unknown wire magic.
 InitMsg decodeInit(const std::string &Payload);
 EvalChunkMsg decodeEvalChunk(const std::string &Payload);
-CacheGetMsg decodeCacheGet(const std::string &Payload);
-CacheHitMsg decodeCacheHit(const std::string &Payload);
 ChunkDoneMsg decodeChunkDone(const std::string &Payload);
 
 } // namespace dist

@@ -20,79 +20,55 @@ using namespace brainy::dist;
 
 namespace {
 
-/// The per-connection evaluation state built from Init.
-struct WorkerState {
-  explicit WorkerState(const InitMsg &Init, Transport &T)
-      : Framework(makeOptions(Init), Init.Machine) {
-    // Remote cache tier: a shared-map miss asks the coordinator before
-    // measuring. Shards query at most once per seed; transport failures
-    // propagate as exceptions and fail the seed like any evaluation fault.
-    Framework.measurements().setRemoteTier(
-        [&T](uint64_t Seed, CycleRecord &Out) {
-          CacheGetMsg Get;
-          Get.Seed = Seed;
-          sendFrame(T, encodeCacheGet(Get));
-          std::string Payload;
-          if (!recvFrame(T, Payload, /*TimeoutMs=*/-1))
-            throw ErrorException(Error(
-                ErrCode::IoError, "coordinator closed during cache fetch"));
-          CacheHitMsg Hit = decodeCacheHit(Payload);
-          if (!Hit.Found)
-            return false;
-          Out = Hit.Rec;
-          return true;
-        });
-  }
+/// The evaluation context Init describes.
+TrainOptions makeOptions(const InitMsg &Init) {
+  TrainOptions Options;
+  Options.GenConfig = Init.Config;
+  Options.EvalRetries = Init.EvalRetries;
+  Options.ExcludeSeeds.insert(Init.ExcludeSeeds.begin(),
+                              Init.ExcludeSeeds.end());
+  // Chunks are evaluated serially worker-side: parallelism comes from the
+  // worker count.
+  Options.Jobs = 1;
+  return Options;
+}
 
-  static TrainOptions makeOptions(const InitMsg &Init) {
-    TrainOptions Options;
-    Options.GenConfig = Init.Config;
-    Options.EvalRetries = Init.EvalRetries;
-    Options.ExcludeSeeds.insert(Init.ExcludeSeeds.begin(),
-                                Init.ExcludeSeeds.end());
-    // Chunks are evaluated serially worker-side: parallelism comes from
-    // the worker count, and Jobs=1 keeps every evaluation on the thread
-    // that owns the transport (cache fetches are protocol exchanges).
-    Options.Jobs = 1;
-    return Options;
-  }
-
-  TrainingFramework Framework;
-};
-
-ChunkDoneMsg evalChunk(WorkerState &State, const EvalChunkMsg &Req) {
+ChunkDoneMsg evalChunk(const TrainingFramework &Framework,
+                       const EvalChunkMsg &Req) {
+  // The chunk's cache holds exactly its Known records, so the shard's
+  // fresh records are what this worker measured itself.
+  MeasurementCache Known;
+  for (const CycleRecord &Rec : Req.Known)
+    Known.restoreRecord(Rec);
+  MeasurementCache::Shard Shard = Known.shard();
   ChunkDoneMsg Done;
   Done.BeginSeed = Req.BeginSeed;
   Done.Slots.resize(static_cast<size_t>(Req.EndSeed - Req.BeginSeed));
-  MeasurementCache::Shard Shard = State.Framework.measurements().shard();
   for (uint64_t Seed = Req.BeginSeed; Seed != Req.EndSeed; ++Seed) {
     SeedEvalResult &Slot = Done.Slots[Seed - Req.BeginSeed];
-    Slot.Ok = State.Framework.tryEvalSeed(Seed, Req.Wanted, Shard,
-                                          Slot.Outcomes);
+    Slot.Ok = Framework.tryEvalSeed(Seed, Req.Wanted, Shard, Slot.Outcomes);
   }
-  // Stream home only what this worker measured itself (remote hits are
-  // already in the coordinator's cache), then keep a local copy so later
-  // chunks hit the local map without a round trip.
   Done.Fresh = Shard.freshRecords(Req.BeginSeed, Req.EndSeed);
-  State.Framework.measurements().merge(std::move(Shard));
   return Done;
 }
 
 } // namespace
 
 WorkerExit dist::serveWorker(Transport &T) {
-  std::optional<WorkerState> State;
+  std::optional<TrainingFramework> Framework;
   try {
     std::string Payload;
     while (recvFrame(T, Payload, /*TimeoutMs=*/-1)) {
       switch (payloadKind(Payload)) {
-      case MsgKind::Init:
+      case MsgKind::Init: {
         // Re-Init replaces the evaluation context wholesale (the
         // coordinator sends it once per connection).
-        State.emplace(decodeInit(Payload), T);
+        InitMsg Init = decodeInit(Payload);
+        Framework.emplace(makeOptions(Init), Init.Machine);
         break;
+      }
       case MsgKind::EvalChunk: {
-        if (!State)
+        if (!Framework)
           throw ErrorException(
               Error(ErrCode::BadFormat, "EvalChunk before Init"));
         EvalChunkMsg Req = decodeEvalChunk(Payload);
@@ -103,13 +79,11 @@ WorkerExit dist::serveWorker(Transport &T) {
         if (FaultInjector::instance().shouldFail(FaultSite::WorkerLoss,
                                                  Req.BeginSeed))
           return WorkerExit::SimulatedCrash;
-        sendFrame(T, encodeChunkDone(evalChunk(*State, Req)));
+        sendFrame(T, encodeChunkDone(evalChunk(*Framework, Req)));
         break;
       }
       case MsgKind::Shutdown:
         return WorkerExit::Shutdown;
-      case MsgKind::CacheGet:
-      case MsgKind::CacheHit:
       case MsgKind::ChunkDone:
         throw ErrorException(
             Error(ErrCode::BadFormat,

@@ -8,10 +8,10 @@
 /// The worker half of distributed Phase I (DESIGN.md §10): a loop that
 /// receives an Init context, then evaluates EvalChunk requests purely —
 /// through exactly the TrainingFramework::tryEvalSeed entry point a local
-/// run uses — and streams ChunkDone replies back. The worker's
-/// MeasurementCache is remote-backed: before measuring a seed it asks the
-/// coordinator's shared cache (CacheGet/CacheHit), and every measurement
-/// it performs itself rides home in the ChunkDone.
+/// run uses — and answers each with one ChunkDone. A chunk is evaluated
+/// against a fresh MeasurementCache holding exactly the chunk's Known
+/// records, and every measurement the worker performs itself rides home
+/// in the ChunkDone.
 ///
 /// serveWorker is transport- and launch-agnostic: `brainy worker` runs it
 /// as a subprocess over its inherited stdio descriptors, and tests/benches

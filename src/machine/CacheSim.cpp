@@ -10,21 +10,11 @@
 
 using namespace brainy;
 
-static uint32_t log2Exact(uint64_t Value) {
-  assert(Value != 0 && (Value & (Value - 1)) == 0 &&
-         "cache geometry values must be powers of two");
-  uint32_t Shift = 0;
-  while ((Value >> Shift) != 1)
-    ++Shift;
-  return Shift;
-}
-
 CacheSim::CacheSim(CacheGeometry Geometry) : Geom(Geometry) {
-  assert(Geom.numSets() >= 1 && "cache smaller than one set");
-  BlockShift = log2Exact(Geom.BlockBytes);
+  assert(Geom.valid() && "cache geometry the simulator cannot model");
+  BlockShift = static_cast<uint32_t>(__builtin_ctz(Geom.BlockBytes));
   Assoc = Geom.Associativity;
   uint64_t NumSets = Geom.numSets();
-  (void)log2Exact(NumSets); // Asserts power-of-two set count.
   SetMask = NumSets - 1;
   Tags.resize(NumSets * Assoc, 0);
   LastUse.resize(NumSets * Assoc, 0);

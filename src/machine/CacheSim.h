@@ -36,6 +36,18 @@ struct CacheGeometry {
   uint64_t numSets() const {
     return SizeBytes / (static_cast<uint64_t>(Associativity) * BlockBytes);
   }
+
+  /// Whether CacheSim can model this level: a power-of-two block size and
+  /// set count, at least one way, a size that is exactly sets * ways *
+  /// block, and at most 2^20 blocks.
+  bool valid() const {
+    auto Pow2 = [](uint64_t V) { return V && !(V & (V - 1)); };
+    if (!Pow2(BlockBytes) || !Associativity)
+      return false;
+    uint64_t WayBytes = static_cast<uint64_t>(Associativity) * BlockBytes;
+    return SizeBytes % WayBytes == 0 && Pow2(SizeBytes / WayBytes) &&
+           SizeBytes / BlockBytes <= (uint64_t(1) << 20);
+  }
 };
 
 /// One level of set-associative cache with true-LRU replacement.

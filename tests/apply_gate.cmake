@@ -8,7 +8,8 @@
 # rejections and the cross-family vector -> unordered_set upgrade, write the
 # .brainy.cpp siblings, compile original and rewritten with the same
 # compiler, run both and byte-compare stdout, and finally prove
-# idempotence by re-applying in place and byte-comparing the file.
+# idempotence by re-applying in place and byte-comparing the file. It also
+# checks that `serve` and `train` exit 2 on a number too large for its flag.
 #
 # Inputs: -DBRAINY=<brainy binary> -DSRC_DIR=<examples/apply>
 #         -DCXX=<compiler> -DWORK_DIR=<scratch dir>
@@ -44,6 +45,22 @@ execute_process(
 if(NOT Rc EQUAL 2)
   message(FATAL_ERROR
           "apply gate: apply --dry-run on a directory exited ${Rc}, not 2")
+endif()
+
+# --- A number its destination cannot hold is a usage error: exit 2 ----------
+execute_process(
+  COMMAND "${BRAINY}" serve --models /nonexistent --port 70000
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR "apply gate: serve --port 70000 exited ${Rc}, not 2")
+endif()
+execute_process(
+  COMMAND "${BRAINY}" train --machine core2 --target 4294967296 --seeds 1
+          -o "${WORK_DIR}/overflow.models"
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR
+          "apply gate: train --target 4294967296 exited ${Rc}, not 2")
 endif()
 
 # --- Plan: --dry-run --json must succeed with zero rejections ----------------

@@ -12,8 +12,8 @@
 //  * worker loss (BRAINY_FAULT=worker:...) degrades to SkippedSeeds, and
 //    the surviving result equals a clean run with the lost seeds
 //    pre-declared in TrainOptions::ExcludeSeeds;
-//  * the remote-backed MeasurementCache tier serves hits into shards
-//    without echoing them back as fresh records.
+//  * a worker measures only what its chunk's Known records lack, and
+//    sends back only what it measured.
 //
 // Plus the cross-host fleet contracts (DESIGN.md §13):
 //
@@ -139,6 +139,31 @@ std::string refusedEndpoint() {
   return "127.0.0.1:" + std::to_string(Probe.port());
 }
 
+/// The ErrCode \p Decode throws, or Ok when it returns.
+template <typename Fn> ErrCode decodeError(Fn &&Decode) {
+  try {
+    Decode();
+  } catch (const ErrorException &E) {
+    return E.error().code();
+  }
+  return ErrCode::Ok;
+}
+
+void expectSameSlots(const std::vector<SeedEvalResult> &A,
+                     const std::vector<SeedEvalResult> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].Ok, B[I].Ok) << "slot " << I;
+    for (unsigned M = 0; M != NumModelKinds; ++M) {
+      EXPECT_EQ(A[I].Outcomes[M].Matched, B[I].Outcomes[M].Matched);
+      EXPECT_EQ(A[I].Outcomes[M].Best, B[I].Outcomes[M].Best);
+      EXPECT_EQ(A[I].Outcomes[M].Margin, B[I].Outcomes[M].Margin);
+      EXPECT_EQ(A[I].Outcomes[M].NumCandidates,
+                B[I].Outcomes[M].NumCandidates);
+    }
+  }
+}
+
 void expectSameResults(const ResultArray &A, const ResultArray &B) {
   for (unsigned M = 0; M != NumModelKinds; ++M) {
     EXPECT_EQ(A[M].SeedsScanned, B[M].SeedsScanned) << "family " << M;
@@ -195,35 +220,71 @@ TEST(WireFormatTest, InitRejectsWrongMagic) {
   }
 }
 
-TEST(WireFormatTest, EvalChunkAndCacheMessagesRoundTrip) {
+TEST(WireFormatTest, InitRejectsMachinesTheSimulatorCannotRun) {
+  InitMsg M;
+  M.Machine = MachineConfig::core2();
+  EXPECT_EQ(decodeError([&] { decodeInit(encodeInit(M)); }), ErrCode::Ok);
+
+  std::vector<MachineConfig> Bad(6, MachineConfig::core2());
+  Bad[0].L1.BlockBytes = 0;
+  Bad[1].L1.BlockBytes = 48;
+  Bad[2].L1.Associativity = 0;
+  Bad[3].L2.SizeBytes = 3u << 20;
+  Bad[4].L2.SizeBytes = uint64_t(1) << 40;
+  Bad[5].PrefetchDepth = 1u << 31;
+  for (size_t I = 0; I != Bad.size(); ++I) {
+    M.Machine = Bad[I];
+    EXPECT_EQ(decodeError([&] { decodeInit(encodeInit(M)); }),
+              ErrCode::BadFormat)
+        << "machine " << I;
+  }
+}
+
+TEST(WireFormatTest, EvalChunkRoundTripsKnownRecordsInsideItsChunk) {
   EvalChunkMsg Chunk;
   Chunk.BeginSeed = 97;
   Chunk.EndSeed = 113;
   Chunk.Wanted[1] = Chunk.Wanted[4] = true;
-  EvalChunkMsg ChunkBack = decodeEvalChunk(encodeEvalChunk(Chunk));
-  EXPECT_EQ(ChunkBack.BeginSeed, 97u);
-  EXPECT_EQ(ChunkBack.EndSeed, 113u);
-  EXPECT_EQ(ChunkBack.Wanted, Chunk.Wanted);
+  CycleRecord Rec;
+  Rec.Seed = 101;
+  Rec.Mask = (1u << 0) | (1u << 3);
+  Rec.Cycles[0] = 123.5;
+  Rec.Cycles[3] = 88.25;
+  Chunk.Known.push_back(Rec);
+  EvalChunkMsg Back = decodeEvalChunk(encodeEvalChunk(Chunk));
+  EXPECT_EQ(Back.BeginSeed, 97u);
+  EXPECT_EQ(Back.EndSeed, 113u);
+  EXPECT_EQ(Back.Wanted, Chunk.Wanted);
+  ASSERT_EQ(Back.Known.size(), 1u);
+  EXPECT_EQ(Back.Known[0].Seed, 101u);
+  EXPECT_EQ(Back.Known[0].Mask, Rec.Mask);
+  EXPECT_EQ(Back.Known[0].Cycles[0], 123.5);
+  EXPECT_EQ(Back.Known[0].Cycles[3], 88.25);
 
-  CacheGetMsg Get;
-  Get.Seed = 41;
-  EXPECT_EQ(decodeCacheGet(encodeCacheGet(Get)).Seed, 41u);
+  // A record before or past the chunk, or a seed sent twice, is malformed.
+  for (uint64_t Seed : {96u, 113u}) {
+    Chunk.Known[0].Seed = Seed;
+    std::string Payload = encodeEvalChunk(Chunk);
+    EXPECT_EQ(decodeError([&] { decodeEvalChunk(Payload); }),
+              ErrCode::BadFormat)
+        << "seed " << Seed;
+  }
+  Chunk.Known.assign(2, Rec);
+  std::string Payload = encodeEvalChunk(Chunk);
+  EXPECT_EQ(decodeError([&] { decodeEvalChunk(Payload); }),
+            ErrCode::BadFormat);
+}
 
-  CacheHitMsg Miss;
-  EXPECT_FALSE(decodeCacheHit(encodeCacheHit(Miss)).Found);
-
-  CacheHitMsg Hit;
-  Hit.Found = true;
-  Hit.Rec.Seed = 41;
-  Hit.Rec.Mask = (1u << 0) | (1u << 3);
-  Hit.Rec.Cycles[0] = 123.5;
-  Hit.Rec.Cycles[3] = 88.25;
-  CacheHitMsg HitBack = decodeCacheHit(encodeCacheHit(Hit));
-  ASSERT_TRUE(HitBack.Found);
-  EXPECT_EQ(HitBack.Rec.Seed, 41u);
-  EXPECT_EQ(HitBack.Rec.Mask, Hit.Rec.Mask);
-  EXPECT_EQ(HitBack.Rec.Cycles[0], 123.5);
-  EXPECT_EQ(HitBack.Rec.Cycles[3], 88.25);
+TEST(WireFormatTest, EvalChunkHoldsAtMostOneChunkOfSeeds) {
+  EvalChunkMsg Chunk;
+  Chunk.BeginSeed = 5;
+  Chunk.EndSeed = Chunk.BeginSeed + PhaseOneChunk;
+  EXPECT_EQ(decodeEvalChunk(encodeEvalChunk(Chunk)).EndSeed,
+            Chunk.EndSeed);
+  ++Chunk.EndSeed;
+  std::string Payload = encodeEvalChunk(Chunk);
+  EXPECT_EQ(decodeError([&] { decodeEvalChunk(Payload); }),
+            ErrCode::BadFormat);
 }
 
 TEST(WireFormatTest, ChunkDoneRoundTripsSlotsAndFreshRecords) {
@@ -255,13 +316,19 @@ TEST(WireFormatTest, ChunkDoneRoundTripsSlotsAndFreshRecords) {
   ASSERT_EQ(Back.Fresh.size(), 1u);
   EXPECT_EQ(Back.Fresh[0].Seed, 18u);
   EXPECT_EQ(Back.Fresh[0].Cycles[5], 777.0);
+
+  // The chunk is [17, 20): a record for seed 20 lies outside it.
+  M.Fresh[0].Seed = 20;
+  std::string Payload = encodeChunkDone(M);
+  EXPECT_EQ(decodeError([&] { decodeChunkDone(Payload); }),
+            ErrCode::BadFormat);
 }
 
 TEST(WireFormatTest, DecodersRejectWrongKindAndTrailingBytes) {
-  std::string Payload = encodeCacheGet(CacheGetMsg{});
-  EXPECT_THROW(decodeEvalChunk(Payload), ErrorException);
+  std::string Payload = encodeEvalChunk(EvalChunkMsg{});
+  EXPECT_THROW(decodeChunkDone(Payload), ErrorException);
   Payload.push_back('\0');
-  EXPECT_THROW(decodeCacheGet(Payload), ErrorException);
+  EXPECT_THROW(decodeEvalChunk(Payload), ErrorException);
 }
 
 //===----------------------------------------------------------------------===//
@@ -322,52 +389,53 @@ TEST(FrameTest, ImplausibleLengthPrefixIsRejectedBeforeAllocation) {
 }
 
 //===----------------------------------------------------------------------===//
-// Remote-backed cache tier
+// Worker
 //===----------------------------------------------------------------------===//
 
-TEST(RemoteCacheTest, ShardUsesRemoteHitsWithoutEchoingThemBack) {
-  MeasurementCache Remote;
-  CycleRecord Seeded;
-  Seeded.Seed = 7;
-  Seeded.Mask = 1u << 2;
-  Seeded.Cycles[2] = 42.0;
-  Remote.mergeRecord(Seeded);
+/// Sends \p Req to the worker on \p Link and returns its ChunkDone.
+ChunkDoneMsg evalOnWorker(Transport &Link, const EvalChunkMsg &Req) {
+  sendFrame(Link, encodeEvalChunk(Req));
+  std::string Payload;
+  EXPECT_TRUE(recvFrame(Link, Payload, 60000)) << "worker closed the link";
+  return decodeChunkDone(Payload);
+}
 
-  MeasurementCache Local;
-  unsigned Fetches = 0;
-  Local.setRemoteTier([&](uint64_t Seed, CycleRecord &Out) {
-    ++Fetches;
-    return Remote.lookupAll(Seed, Out);
-  });
+TEST(WorkerTest, KnownRecordsAreNeitherMeasuredNorSentBack) {
+  InitMsg Init;
+  Init.Machine = MachineConfig::core2();
+  Init.Config = tinyOptions().GenConfig;
+  WorkerConnection Conn = threadLauncher()(0);
+  sendFrame(*Conn.Link, encodeInit(Init));
 
-  MeasurementCache::Shard Shard = Local.shard();
-  unsigned Measured = 0;
-  auto Measure = [&] {
-    ++Measured;
-    return 5.0;
-  };
-  // Remote hit: no local measurement, value comes from the remote tier.
-  EXPECT_EQ(Shard.cyclesOf(7, static_cast<DsKind>(2), Measure), 42.0);
-  EXPECT_EQ(Fetches, 1u);
-  EXPECT_EQ(Measured, 0u);
-  // Same seed, kind the remote lacks: measured locally, but the remote is
-  // not asked again for this seed (no other shard evaluates it).
-  EXPECT_EQ(Shard.cyclesOf(7, static_cast<DsKind>(4), Measure), 5.0);
-  EXPECT_EQ(Fetches, 1u);
-  EXPECT_EQ(Measured, 1u);
-  // Remote miss on another seed: fetched once, then measured.
-  EXPECT_EQ(Shard.cyclesOf(9, static_cast<DsKind>(2), Measure), 5.0);
-  EXPECT_EQ(Fetches, 2u);
-  EXPECT_EQ(Measured, 2u);
+  EvalChunkMsg Req;
+  Req.BeginSeed = 1;
+  Req.EndSeed = Req.BeginSeed + PhaseOneChunk;
+  Req.Wanted.fill(true);
+  ChunkDoneMsg Cold = evalOnWorker(*Conn.Link, Req);
+  ASSERT_FALSE(Cold.Fresh.empty()) << "a cold chunk measured nothing";
 
-  // Fresh records report only local measurements — the remote hit for
-  // (7, kind 2) must not ride back.
-  std::vector<CycleRecord> Fresh = Shard.freshRecords(0, 16);
-  ASSERT_EQ(Fresh.size(), 2u);
-  EXPECT_EQ(Fresh[0].Seed, 7u);
-  EXPECT_EQ(Fresh[0].Mask, 1u << 4);
-  EXPECT_EQ(Fresh[1].Seed, 9u);
-  EXPECT_EQ(Fresh[1].Mask, 1u << 2);
+  // Every record known: nothing is measured or sent back, and the slots
+  // are the cold ones.
+  Req.Known = Cold.Fresh;
+  ChunkDoneMsg Warm = evalOnWorker(*Conn.Link, Req);
+  EXPECT_TRUE(Warm.Fresh.empty());
+  expectSameSlots(Cold.Slots, Warm.Slots);
+
+  // The first half known: exactly the second half comes back.
+  size_t Half = Cold.Fresh.size() / 2;
+  Req.Known.assign(Cold.Fresh.begin(), Cold.Fresh.begin() + Half);
+  ChunkDoneMsg Part = evalOnWorker(*Conn.Link, Req);
+  ASSERT_EQ(Part.Fresh.size(), Cold.Fresh.size() - Half);
+  for (size_t I = 0; I != Part.Fresh.size(); ++I) {
+    EXPECT_EQ(Part.Fresh[I].Seed, Cold.Fresh[Half + I].Seed);
+    EXPECT_EQ(Part.Fresh[I].Mask, Cold.Fresh[Half + I].Mask);
+    EXPECT_EQ(Part.Fresh[I].Cycles, Cold.Fresh[Half + I].Cycles);
+  }
+  expectSameSlots(Cold.Slots, Part.Slots);
+
+  sendFrame(*Conn.Link, encodeShutdown());
+  Conn.Link.reset();
+  Conn.Terminate();
 }
 
 //===----------------------------------------------------------------------===//
@@ -527,9 +595,9 @@ TEST(DistributedTrainingTest, WarmMeasurementCacheSkipsWorkerSimulation) {
     ASSERT_FALSE(E) << E.message();
   }
 
-  // Warm distributed run: the coordinator preloads the file, workers hit
-  // the remote tier for every lookup, and no worker streams back a single
-  // fresh record.
+  // Warm distributed run: the coordinator preloads the file, every chunk
+  // carries its seeds' records, and no worker sends back a single fresh
+  // record.
   Coordinator Coord(MC, Opts, 3, threadLauncher());
   EXPECT_GT(Coord.cache().seeds(), 0u)
       << "coordinator did not preload the measurement cache";

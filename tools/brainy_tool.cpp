@@ -55,11 +55,13 @@
 #include "support/FramedFile.h"
 #include "survey/Survey.h"
 
+#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -129,9 +131,10 @@ struct Args {
     return It == Flags.end() ? Def : It->second;
   }
   bool has(const std::string &Key) const { return Flags.count(Key) != 0; }
-  /// Strict numeric flag: range errors and trailing junk are usage errors
-  /// (exit 2), not silently truncated values.
-  uint64_t getInt(const std::string &Key, uint64_t Def) const {
+  /// Strict numeric flag: range errors, signs, trailing junk and values
+  /// \p T cannot hold are usage errors (exit 2), not silently truncated
+  /// values.
+  template <typename T> T getInt(const std::string &Key, T Def) const {
     auto It = Flags.find(Key);
     if (It == Flags.end())
       return Def;
@@ -139,12 +142,13 @@ struct Args {
     char *End = nullptr;
     errno = 0;
     uint64_t V = std::strtoull(Begin, &End, 10);
-    if (End == Begin || errno == ERANGE || *End != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(*Begin)) || errno == ERANGE ||
+        *End != '\0' || V > std::numeric_limits<T>::max()) {
       std::fprintf(stderr, "brainy: flag '--%s': invalid number '%s'\n",
                    Key.c_str(), Begin);
       std::exit(2);
     }
-    return V;
+    return static_cast<T>(V);
   }
 };
 
@@ -213,7 +217,7 @@ int cmdMachines() {
 }
 
 int cmdAppgen(const Args &A) {
-  uint64_t Seed = A.getInt("seed", 1);
+  uint64_t Seed = A.getInt<uint64_t>("seed", 1);
   DsKind Kind = DsKind::Vector;
   std::string DsName = A.get("ds", "vector");
   if (!dsKindFromName(DsName.c_str(), Kind)) {
@@ -234,6 +238,21 @@ int cmdAppgen(const Args &A) {
   std::fprintf(stderr, "wrote %s (seed %llu, %s)\n", Out.c_str(),
                (unsigned long long)Seed, dsKindName(Kind));
   return 0;
+}
+
+/// Splits a comma-separated flag value ("a.models,b.models").
+std::vector<std::string> splitList(const std::string &Spec) {
+  std::vector<std::string> Out;
+  size_t Pos = 0;
+  while (Pos <= Spec.size()) {
+    size_t Comma = Spec.find(',', Pos);
+    if (Comma == std::string::npos)
+      Comma = Spec.size();
+    if (Comma != Pos)
+      Out.push_back(Spec.substr(Pos, Comma - Pos));
+    Pos = Comma + 1;
+  }
+  return Out;
 }
 
 /// The running binary's path, for respawning ourselves as `brainy worker`
@@ -259,10 +278,10 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
 
   TrainOptions Opts;
   Opts.GenConfig = loadGenConfig(A);
-  Opts.TargetPerDs = static_cast<unsigned>(A.getInt("target", 60));
-  Opts.MaxSeeds = A.getInt("seeds", 8000);
+  Opts.TargetPerDs = A.getInt<unsigned>("target", 60);
+  Opts.MaxSeeds = A.getInt<uint64_t>("seeds", 8000);
   // 0 falls back to BRAINY_JOBS, then serial.
-  Opts.Jobs = static_cast<unsigned>(A.getInt("jobs", 0));
+  Opts.Jobs = A.getInt<unsigned>("jobs", 0);
   // Set before the Coordinator is built: the coordinator preloads the
   // same file so warm distributed runs skip worker-side simulation too.
   Opts.MeasurementCacheFile = A.get("measurement-cache");
@@ -277,16 +296,7 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
   unsigned Workers = 0;
   dist::WorkerLauncher Launcher;
   if (WorkersSpec.find(':') != std::string::npos) {
-    std::vector<std::string> Endpoints;
-    size_t Pos = 0;
-    while (Pos <= WorkersSpec.size()) {
-      size_t Comma = WorkersSpec.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = WorkersSpec.size();
-      if (Comma > Pos)
-        Endpoints.push_back(WorkersSpec.substr(Pos, Comma - Pos));
-      Pos = Comma + 1;
-    }
+    std::vector<std::string> Endpoints = splitList(WorkersSpec);
     try {
       Launcher = dist::tcpLauncher(Endpoints);
     } catch (const ErrorException &E) {
@@ -295,7 +305,7 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
     }
     Workers = static_cast<unsigned>(Endpoints.size());
   } else {
-    Workers = static_cast<unsigned>(A.getInt("workers", 0));
+    Workers = A.getInt<unsigned>("workers", 0);
     if (Workers)
       Launcher = dist::processLauncher(ExePath);
   }
@@ -363,9 +373,9 @@ int cmdTrainset(const Args &A) {
       continue;
     TrainOptions Opts;
     Opts.GenConfig = loadGenConfig(A);
-    Opts.TargetPerDs = static_cast<unsigned>(A.getInt("target", 40));
-    Opts.MaxSeeds = A.getInt("seeds", 6000);
-    Opts.Jobs = static_cast<unsigned>(A.getInt("jobs", 0));
+    Opts.TargetPerDs = A.getInt<unsigned>("target", 40);
+    Opts.MaxSeeds = A.getInt<uint64_t>("seeds", 6000);
+    Opts.Jobs = A.getInt<unsigned>("jobs", 0);
     TrainingFramework Framework(Opts, Machine);
     std::fprintf(stderr, "phase I (%s on %s)...\n", modelKindName(Kind),
                  Machine.Name.c_str());
@@ -469,8 +479,7 @@ int cmdCheck(const Args &A) {
     return 2;
   }
   std::vector<analysis::FileAnalysis> Files;
-  if (!analyzePaths(A.Positional, static_cast<unsigned>(A.getInt("jobs", 0)),
-                    Files))
+  if (!analyzePaths(A.Positional, A.getInt<unsigned>("jobs", 0), Files))
     return 2;
   std::string Report = A.has("json") ? analysis::renderJson(Files)
                                      : analysis::renderText(Files);
@@ -515,8 +524,8 @@ int cmdApply(const Args &A) {
   std::vector<std::pair<std::string, std::string>> Sources;
   if (!readSources(A.Positional, Sources))
     return 2;
-  std::vector<analysis::FileRewrite> Files = analysis::rewriteSources(
-      Sources, Opts, static_cast<unsigned>(A.getInt("jobs", 0)));
+  std::vector<analysis::FileRewrite> Files =
+      analysis::rewriteSources(Sources, Opts, A.getInt<unsigned>("jobs", 0));
 
   bool DryRun = A.has("dry-run");
   std::string Report = A.has("json")
@@ -547,21 +556,6 @@ int cmdApply(const Args &A) {
     }
   }
   return Exit;
-}
-
-/// Splits a comma-separated flag value ("a.models,b.models").
-std::vector<std::string> splitList(const std::string &Spec) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Spec.size();
-    if (Comma != Pos)
-      Out.push_back(Spec.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
 }
 
 /// Reads a whole file ("-" = stdin) into \p Out.
@@ -647,8 +641,7 @@ int cmdRecommend(const Args &A) {
     return 2;
   }
   std::vector<analysis::FileAnalysis> Files;
-  if (!analyzePaths(Paths, static_cast<unsigned>(A.getInt("jobs", 0)),
-                    Files))
+  if (!analyzePaths(Paths, A.getInt<unsigned>("jobs", 0), Files))
     return 2;
   std::string Report = renderSourceRecommendations(Files);
   std::fwrite(Report.data(), 1, Report.size(), stdout);
@@ -663,9 +656,9 @@ int cmdServe(const Args &A) {
     return 2;
   }
   Opts.Host = A.get("host", "127.0.0.1");
-  Opts.Port = static_cast<uint16_t>(A.getInt("port", 0));
-  Opts.ConnWorkers = static_cast<unsigned>(A.getInt("conn-workers", 8));
-  Opts.MaxBatch = static_cast<unsigned>(A.getInt("max-batch", 256));
+  Opts.Port = A.getInt<uint16_t>("port", 0);
+  Opts.ConnWorkers = A.getInt<unsigned>("conn-workers", 8);
+  Opts.MaxBatch = A.getInt<unsigned>("max-batch", 256);
   Opts.Batched = !A.has("unbatched");
 
   // Route the control signals through sigwait on this thread: block them
