@@ -22,27 +22,41 @@ namespace {
 /// state, so the op/value streams are identical for every candidate kind.
 class Driver {
 public:
-  Driver(const AppSpec &Spec, Container &C, OpObserver *Observer)
-      : Spec(Spec), C(C), Observer(Observer) {
+  Driver(const AppSpec &Spec, Container &C, OpObserver *Observer,
+         const MachineModel &Model, const CycleCap *Cap)
+      : Spec(Spec), C(C), Observer(Observer), Model(Model), Cap(Cap) {
     // Separate streams so future spec-derivation changes cannot shift runs.
     OpStream.reseed(Spec.Seed ^ 0xa24baed4963ee407ULL);
     ValStream.reseed(Spec.Seed ^ 0x9fb21c651e98df25ULL);
   }
 
-  void run() {
-    prepopulate();
+  /// Runs the app; false when the cap stopped it part-way.
+  bool run() {
+    if (!prepopulate())
+      return false;
     std::vector<double> Weights(Spec.OpWeights.begin(), Spec.OpWeights.end());
     for (uint64_t I = 0; I != Spec.TotalCalls; ++I) {
+      if (ruledOut())
+        return false;
       auto Op = static_cast<AppOp>(OpStream.nextWeighted(Weights));
       // Draw iterate bursts up front so observers see the burst length.
       PendingIterSteps = 1 + ValStream.nextBelow(Spec.MaxIterSteps);
       dispatch(Op);
     }
+    return true;
   }
 
 private:
-  void prepopulate() {
+  /// The between-calls cap check: reads the drained count only, so it
+  /// costs a load and a compare, and lags by at most one buffer.
+  bool ruledOut() const {
+    return Cap && Cap->rulesOut(Model.drainedCycles());
+  }
+
+  bool prepopulate() {
     for (uint64_t I = 0; I != Spec.InitialSize; ++I) {
+      if (ruledOut())
+        return false;
       ds::Key K = ValStream.nextInRange(0, Spec.MaxInsertVal);
       if (Spec.ScrambledBuild) {
         // Spatially sorted construction: positional inserts scramble the
@@ -61,6 +75,7 @@ private:
       }
       InsertLog.push_back(K);
     }
+    return true;
   }
 
   /// A previously inserted value: either within a hard front window
@@ -148,6 +163,8 @@ private:
   const AppSpec &Spec;
   Container &C;
   OpObserver *Observer;
+  const MachineModel &Model;
+  const CycleCap *Cap;
   Rng OpStream;
   Rng ValStream;
   std::vector<ds::Key> InsertLog;
@@ -160,13 +177,13 @@ OpObserver::~OpObserver() = default;
 
 RunOutcome brainy::runApp(const AppSpec &Spec, DsKind Kind,
                           const MachineConfig &Machine,
-                          OpObserver *Observer) {
+                          OpObserver *Observer, const CycleCap *Cap) {
   MachineModel Model(Machine);
   std::unique_ptr<Container> C = makeContainer(Kind, Spec.ElemBytes, &Model);
-  Driver D(Spec, *C, Observer);
-  D.run();
+  Driver D(Spec, *C, Observer, Model, Cap);
 
   RunOutcome Out;
+  Out.Complete = D.run();
   Out.Hw = Model.counters();
   Out.Cycles = Out.Hw.Cycles;
   Out.FinalSize = C->size();
@@ -185,7 +202,7 @@ ProfiledOutcome brainy::runAppProfiled(const AppSpec &Spec, DsKind Kind,
   SwAccumulator Accum;
   Accum.Sw.ElementBytes = C->elementBytes();
   C->setOpListener(&Accum);
-  Driver D(Spec, *C, Observer);
+  Driver D(Spec, *C, Observer, Model, /*Cap=*/nullptr);
   D.run();
 
   ProfiledOutcome Out;

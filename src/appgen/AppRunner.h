@@ -31,6 +31,24 @@ struct RunOutcome {
   HardwareCounters Hw;
   uint64_t FinalSize = 0;
   uint64_t PeakSimBytes = 0;
+  /// False when a CycleCap stopped the run part-way: every field then
+  /// covers only the calls made, and Cycles is a lower bound on the full
+  /// run's.
+  bool Complete = true;
+};
+
+/// A running best to race against (Phase I, footnote 2). Cycle counts
+/// only grow during a run, so once a partial count passes rulesOut() the
+/// candidate can neither win nor come within Margin of Best.
+struct CycleCap {
+  double Best = 0;
+  double Margin = 0;
+
+  /// Footnote 2's test: \p Cycles is slower than Best by at least Margin.
+  /// With a Best of 0, any positive count passes.
+  bool rulesOut(double Cycles) const {
+    return Cycles > Best && (Cycles - Best) / Best >= Margin;
+  }
 };
 
 /// Result of one instrumented (Phase II) run.
@@ -55,10 +73,14 @@ public:
 
 /// Runs \p Spec on a container of \p Kind under \p Machine; fast path used
 /// by Phase I to rank candidates by cycles. \p Observer, when non-null,
-/// sees every dispatch-loop call.
+/// sees every dispatch-loop call. With a \p Cap, the cycles the model has
+/// already drained are compared against it between interface calls (never
+/// forcing a drain), and the run stops, Complete = false, once the cap
+/// rules it out; a cap that never fires changes nothing.
 RunOutcome runApp(const AppSpec &Spec, DsKind Kind,
                   const MachineConfig &Machine,
-                  OpObserver *Observer = nullptr);
+                  OpObserver *Observer = nullptr,
+                  const CycleCap *Cap = nullptr);
 
 /// Runs \p Spec with the profiling wrapper, producing the feature vector of
 /// the run (Phase II, and the advisor's input for unseen apps).

@@ -84,9 +84,9 @@ Brainy Brainy::train(const TrainOptions &Options,
   if (!Options.MeasurementCacheFile.empty()) {
     // Distributed runs measure on workers, so the coordinator's cache —
     // not the framework's — holds Phase I's measurements. Fold them in
-    // before persisting; mergeRecord counts only newly-learned bits as
-    // fresh, so a warm distributed rerun still reports zero fresh
-    // measurements.
+    // before persisting; mergeRecord counts only kinds whose value it
+    // changes as fresh, so a warm distributed rerun still reports zero
+    // fresh measurements.
     if (Options.Distribution)
       if (const MeasurementCache *Remote = Options.Distribution->measurements())
         for (const CycleRecord &Rec : Remote->records())

@@ -18,7 +18,10 @@ using namespace brainy;
 namespace {
 
 constexpr const char *StoreMagic = "brainy-mcache";
-constexpr const char *StoreVersion = "v1";
+constexpr const char *StoreVersion = "v2";
+/// The previous version, read for compatibility: its records carry no
+/// bound mask and load as exact.
+constexpr const char *StoreVersionV1 = "v1";
 
 /// FNV-1a-64 absorb.
 void fnv(uint64_t &H, const void *Data, size_t Size) {
@@ -114,7 +117,8 @@ std::string brainy::measurementsToString(const MeasurementCache &Cache,
   std::string Payload;
   char Buf[64];
   for (const CycleRecord &Rec : Records) {
-    std::snprintf(Buf, sizeof(Buf), "%" PRIu64 " %u", Rec.Seed, Rec.Mask);
+    std::snprintf(Buf, sizeof(Buf), "%" PRIu64 " %u %u", Rec.Seed, Rec.Mask,
+                  Rec.BoundMask);
     Payload += Buf;
     for (unsigned K = 0; K != NumDsKinds; ++K)
       if (Rec.Mask & (1u << K)) {
@@ -150,12 +154,24 @@ Expected<size_t> brainy::parseMeasurements(const std::string &Text,
                                            const AppConfig &Gen,
                                            const MachineConfig &Machine) {
   std::string FileMachine, Fingerprint, RecordCount, Payload;
-  if (Error E = unframe(Text, StoreMagic, StoreVersion,
-                        {{"machine", &FileMachine},
-                         {"fingerprint", &Fingerprint},
-                         {"records", &RecordCount}},
-                        Payload))
-    return E;
+  auto Unframe = [&](const char *Version) {
+    return unframe(Text, StoreMagic, Version,
+                   {{"machine", &FileMachine},
+                    {"fingerprint", &Fingerprint},
+                    {"records", &RecordCount}},
+                   Payload);
+  };
+  Error Framed = Unframe(StoreVersion);
+  bool V1 = Framed.code() == ErrCode::BadVersion;
+  if (V1) {
+    // A v1 file gets its own verdict; a file of neither version keeps the
+    // v2 one.
+    Error AsV1 = Unframe(StoreVersionV1);
+    if (AsV1.code() != ErrCode::BadVersion)
+      Framed = std::move(AsV1);
+  }
+  if (Framed)
+    return Framed;
   if (FileMachine != Machine.Name)
     return Error(ErrCode::MachineMismatch,
                  "measurements recorded on '" + FileMachine + "', want '" +
@@ -187,11 +203,18 @@ Expected<size_t> brainy::parseMeasurements(const std::string &Text,
     if (End == P || errno == ERANGE)
       return Error(ErrCode::BadFormat, "bad seed in record '" + Rec + "'");
     P = End;
-    unsigned long Mask = std::strtoul(P, &End, 10);
-    if (End == P || Mask == 0 || Mask >= (1u << NumDsKinds))
+    auto MaskField = [&](unsigned long &Out) {
+      Out = std::strtoul(P, &End, 10);
+      bool Ok = End != P;
+      P = End;
+      return Ok;
+    };
+    unsigned long Mask = 0, Bound = 0; // v1 records carry no bound mask
+    if (!MaskField(Mask) || (!V1 && !MaskField(Bound)) ||
+        !validCycleMasks(Mask, Bound))
       return Error(ErrCode::BadFormat, "bad mask in record '" + Rec + "'");
     R.Mask = static_cast<unsigned>(Mask);
-    P = End;
+    R.BoundMask = static_cast<unsigned>(Bound);
     for (unsigned K = 0; K != NumDsKinds; ++K) {
       if (!(R.Mask & (1u << K)))
         continue;

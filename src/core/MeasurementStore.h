@@ -12,15 +12,22 @@
 /// --jobs/--workers variants, and CI reruns then skip Phase I simulation
 /// entirely and still produce byte-identical bundles.
 ///
-/// File format (`brainy-mcache v1`), a support/FramedFile frame like the
+/// File format (`brainy-mcache v2`), a support/FramedFile frame like the
 /// model bundle:
 ///
-///   brainy-mcache v1
+///   brainy-mcache v2
 ///   machine <name>
 ///   fingerprint <16 hex digits>
 ///   records <count>
 ///   payload <bytes> crc32 <8 hex digits>
-///   <seed> <mask> <cycles...>          one line per record, seed-sorted
+///   <seed> <mask> <bound> <cycles...>  one line per record, seed-sorted
+///
+/// <mask> has one bit per DsKind with a value, and the values follow in
+/// kind order. <bound>, a subset of <mask>, marks the values that are
+/// lower bounds from runs Phase I's bounded race stopped early; the rest
+/// are exact. A `brainy-mcache v1` file (records `<seed> <mask>
+/// <cycles...>`, no bounds) still loads, every value exact, and is saved
+/// back as v2.
 ///
 /// The fingerprint is FNV-1a-64 over every MachineConfig and AppConfig
 /// parameter that a measurement depends on, doubles rendered as %a hex

@@ -324,9 +324,10 @@ TrainingFramework::evalSeed(uint64_t Seed,
                             MeasurementCache::Shard &Shard) const {
   std::array<SeedOutcome, NumModelKinds> Out{};
   AppSpec Spec = AppSpec::fromSeed(Seed, Options.GenConfig);
-  auto CyclesOf = [&](DsKind Kind) {
-    return Shard.cyclesOf(
-        Seed, Kind, [&] { return runApp(Spec, Kind, Machine).Cycles; });
+  auto CyclesUnder = [&](DsKind Kind, const CycleCap *Cap) {
+    return Shard.cyclesOf(Seed, Kind, Cap, [&] {
+      return runApp(Spec, Kind, Machine, /*Observer=*/nullptr, Cap);
+    });
   };
   for (unsigned M = 0; M != NumModelKinds; ++M) {
     if (!Wanted[M])
@@ -336,7 +337,9 @@ TrainingFramework::evalSeed(uint64_t Seed,
       continue;
     std::vector<DsKind> Candidates =
         replacementCandidates(modelOriginal(Model), Spec.OrderOblivious);
-    RaceResult Race = raceWith(Candidates, CyclesOf);
+    // Bounded: only the winner and the verdict on the margin reach the
+    // merge, and the bounded race gets both right (core/Oracle.h).
+    RaceResult Race = raceWith(Candidates, Options.WinnerMargin, CyclesUnder);
     Out[M].Matched = true;
     Out[M].Best = Race.Best;
     Out[M].Margin = Race.Margin;
@@ -449,6 +452,12 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
   uint64_t Depth = Service ? 2 * Width : 1 + PhaseOneLookahead * (Width - 1);
   uint64_t CheckpointEvery =
       Options.CheckpointFile.empty() ? 0 : PhaseOneChunk * Width;
+  // The scan's share of the simulation tallies, from the cache that
+  // records its measurements.
+  const MeasurementCache *Measured =
+      Service ? Service->measurements() : &Cache;
+  uint64_t Simulated0 = Measured ? Measured->freshMeasurements() : 0;
+  uint64_t Stopped0 = Measured ? Measured->stoppedEarly() : 0;
   PhaseOneWindow Window(Options, Models, CountUnmatchedSeeds,
                         std::move(Restored), StartOffset, Options.MaxSeeds,
                         Grain, Depth, /*FixedSpeculation=*/Service != nullptr,
@@ -459,8 +468,13 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
     pool().parallelFor(0, Width, [&](size_t) { evaluateClaims(Window); });
 
   MutexLock Lock(Window.M);
-  if (Stats)
+  if (Stats) {
     *Stats = Window.Stats;
+    if (Measured) {
+      Stats->Simulations = Measured->freshMeasurements() - Simulated0;
+      Stats->StoppedEarly = Measured->stoppedEarly() - Stopped0;
+    }
+  }
   return std::move(Window.Results);
 }
 

@@ -56,10 +56,13 @@ constexpr uint64_t PhaseOneLookahead = 64;
 /// One seed's Phase I evaluation for one family, computed from pure
 /// measurements only (no dependence on win-count state). This is the unit
 /// that crosses the distributed wire: outcomes are a pure function of
-/// (seed, config, machine), so where they were computed cannot matter.
+/// (seed, config, machine, WinnerMargin), so where they were computed
+/// cannot matter.
 struct SeedOutcome {
   bool Matched = false;
   DsKind Best = DsKind::Vector;
+  /// The bounded race's margin (RaceResult::Margin): the race's margin
+  /// clamped at WinnerMargin, which leaves its verdict unchanged.
   double Margin = 0;
   unsigned NumCandidates = 0;
 };
@@ -91,6 +94,11 @@ struct PhaseOneStats {
   /// out, the oldest not yet committed). Reporting only; never feeds a
   /// result.
   double IdleSeconds = 0;
+  /// Fresh simulations the scan ran, and how many of them the bounded
+  /// race stopped early: the framework's cache tallies for a local scan,
+  /// the service's for a fleet. Reporting only.
+  uint64_t Simulations = 0;
+  uint64_t StoppedEarly = 0;
 };
 
 class PhaseOneWindow;

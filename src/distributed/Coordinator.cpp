@@ -38,6 +38,7 @@ Coordinator::Coordinator(const MachineConfig &Machine,
       Drivers(this->NumWorkers - 1) {
   InitContext.Machine = Machine;
   InitContext.Config = Options.GenConfig;
+  InitContext.WinnerMargin = Options.WinnerMargin;
   InitContext.EvalRetries = Options.EvalRetries;
   InitContext.ExcludeSeeds.assign(Options.ExcludeSeeds.begin(),
                                   Options.ExcludeSeeds.end());

@@ -67,8 +67,8 @@ public:
   static constexpr int DefaultChunkTimeoutMs = 120000;
 
   /// \p Options supplies the evaluation context workers are initialised
-  /// with (GenConfig, EvalRetries, ExcludeSeeds); scheduling fields (Jobs,
-  /// Distribution) are ignored here.
+  /// with (GenConfig, WinnerMargin, EvalRetries, ExcludeSeeds);
+  /// scheduling fields (Jobs, Distribution) are ignored here.
   Coordinator(const MachineConfig &Machine, const TrainOptions &Options,
               unsigned NumWorkers, WorkerLauncher Launcher,
               int ChunkTimeoutMs = DefaultChunkTimeoutMs);

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cross-host backend of the brainy-wire-v2 protocol (DESIGN.md §13):
+/// The cross-host backend of the brainy-wire-v3 protocol (DESIGN.md §13):
 /// a socket-backed Transport plus the listening side that `brainy worker
 /// --listen HOST:PORT` runs. The protocol layer is untouched — TCP only
 /// changes how the byte stream reaches the peer:

@@ -9,6 +9,7 @@
 #include "support/Crc32.h"
 #include "support/Error.h"
 
+#include <cmath>
 #include <cstring>
 
 using namespace brainy;
@@ -133,6 +134,7 @@ void expectKind(ByteReader &R, MsgKind Want) {
 void putCycleRecord(ByteWriter &W, const CycleRecord &Rec) {
   W.u64(Rec.Seed);
   W.u32(Rec.Mask);
+  W.u32(Rec.BoundMask);
   for (unsigned K = 0; K != NumDsKinds; ++K)
     if (Rec.Mask & (1u << K))
       W.f64(Rec.Cycles[K]);
@@ -142,10 +144,12 @@ CycleRecord getCycleRecord(ByteReader &R) {
   CycleRecord Rec;
   Rec.Seed = R.u64();
   Rec.Mask = R.u32();
-  if (Rec.Mask >> NumDsKinds)
-    throw ErrorException(
-        Error(ErrCode::BadFormat,
-              "cycle-record mask has unknown kind bits"));
+  Rec.BoundMask = R.u32();
+  if (!validCycleMasks(Rec.Mask, Rec.BoundMask))
+    throw ErrorException(Error(
+        ErrCode::BadFormat,
+        "cycle-record masks name no kind, an unknown kind, or a bound "
+        "outside the mask"));
   for (unsigned K = 0; K != NumDsKinds; ++K)
     if (Rec.Mask & (1u << K))
       Rec.Cycles[K] = R.f64();
@@ -163,7 +167,8 @@ void putCycleRecords(ByteWriter &W, const std::vector<CycleRecord> &Recs) {
 /// chunk, so the list is never longer than the chunk.
 std::vector<CycleRecord> getCycleRecords(ByteReader &R, uint64_t BeginSeed,
                                          uint64_t NumSeeds) {
-  uint32_t N = R.count(12);
+  // Seed, mask, bound mask and at least one value.
+  uint32_t N = R.count(24);
   std::vector<CycleRecord> Recs;
   uint64_t MinOffset = 0;
   for (uint32_t I = 0; I != N; ++I) {
@@ -269,6 +274,7 @@ std::string dist::encodeInit(const InitMsg &M) {
   W.f64(M.Config.OrderObliviousProb);
   W.f64(M.Config.OpDropProb);
   W.f64(M.Config.FocusProb);
+  W.f64(M.WinnerMargin);
   // Fault-isolation policy.
   W.u32(M.EvalRetries);
   W.u32(static_cast<uint32_t>(M.ExcludeSeeds.size()));
@@ -321,6 +327,10 @@ InitMsg dist::decodeInit(const std::string &Payload) {
   M.Config.OrderObliviousProb = R.f64();
   M.Config.OpDropProb = R.f64();
   M.Config.FocusProb = R.f64();
+  M.WinnerMargin = R.f64();
+  if (!(M.WinnerMargin >= 0) || !std::isfinite(M.WinnerMargin))
+    throw ErrorException(
+        Error(ErrCode::BadFormat, "winner margin must be finite and >= 0"));
   M.EvalRetries = R.u32();
   uint32_t NumExcluded = R.count(8);
   M.ExcludeSeeds.reserve(NumExcluded);

@@ -24,9 +24,13 @@
 ///   worker -> coordinator:  exactly one ChunkDone per EvalChunk.
 ///
 /// Init re-states the full evaluation context — wire magic, machine
-/// model, generator config, retry policy, excluded seeds — and each
-/// EvalChunk carries the coordinator's measurements for its seeds, so a
-/// ChunkDone depends only on Init and its own EvalChunk.
+/// model, generator config, winner margin, retry policy, excluded
+/// seeds — and each EvalChunk carries the coordinator's measurements for
+/// its seeds, so a ChunkDone depends only on Init and its own EvalChunk.
+///
+/// A CycleRecord travels as [u64 seed][u32 mask][u32 bound mask] and one
+/// f64 per mask bit in kind order; the bound mask, a subset of the mask,
+/// marks lower bounds from runs the bounded race stopped early.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +51,7 @@ namespace dist {
 
 /// Protocol identifier carried inside Init. Bump the suffix on any
 /// incompatible change.
-inline constexpr const char *WireMagic = "brainy-wire-v2";
+inline constexpr const char *WireMagic = "brainy-wire-v3";
 
 /// First payload byte of every message.
 enum class MsgKind : uint8_t {
@@ -62,6 +66,9 @@ enum class MsgKind : uint8_t {
 struct InitMsg {
   MachineConfig Machine;
   AppConfig Config;
+  /// Footnote 2's margin: a worker's bounded race caps its runs with it,
+  /// so it must be the coordinator's TrainOptions::WinnerMargin.
+  double WinnerMargin = 0.05;
   unsigned EvalRetries = 2;
   /// Sorted; mirrors TrainOptions::ExcludeSeeds so a remote evaluation
   /// refuses exactly the seeds a local one would.
@@ -108,9 +115,11 @@ std::string encodeShutdown();
 
 /// Decoders throw ErrorException — BadFormat for a wrong kind byte or
 /// malformed structure (including an Init machine the simulator cannot
-/// run, a chunk longer than PhaseOneChunk seeds, and a cycle record out of
-/// seed order or outside its chunk), Truncated for a payload that ends
-/// early, BadMagic when Init carries an unknown wire magic.
+/// run or a negative or non-finite winner margin, a chunk longer than
+/// PhaseOneChunk seeds, a cycle record out of seed order or outside its
+/// chunk, and one with an empty mask, unknown kind bits or a bound bit
+/// outside its mask), Truncated for a payload that ends early, BadMagic
+/// when Init carries an unknown wire magic.
 InitMsg decodeInit(const std::string &Payload);
 EvalChunkMsg decodeEvalChunk(const std::string &Payload);
 ChunkDoneMsg decodeChunkDone(const std::string &Payload);

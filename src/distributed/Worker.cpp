@@ -24,6 +24,7 @@ namespace {
 TrainOptions makeOptions(const InitMsg &Init) {
   TrainOptions Options;
   Options.GenConfig = Init.Config;
+  Options.WinnerMargin = Init.WinnerMargin;
   Options.EvalRetries = Init.EvalRetries;
   Options.ExcludeSeeds.insert(Init.ExcludeSeeds.begin(),
                               Init.ExcludeSeeds.end());

@@ -153,6 +153,9 @@ public:
     drainPending();
     return Cycles;
   }
+  /// The cycles of the records drained so far, without draining: a lower
+  /// bound on cycles() that costs one load (Phase I's cap check).
+  double drainedCycles() const { return Cycles; }
   /// Nominal wall time implied by the cycle count and configured clock.
   double seconds() const { return cycles() / (Cfg.ClockGhz * 1e9); }
 

@@ -346,7 +346,8 @@ TEST(AnalysisLegality, CrossFamilySwapIsUnknownNotLegal) {
   // Table 1's order-oblivious vector→set rows need interface rewriting;
   // the static verdict stays conservative.
   std::string Src = "std::vector<int> V;\nvoid f() { V.push_back(1); }\n";
-  const Verdict &Vd = profileOf(Src, "V").verdictFor(Candidate::Set);
+  VarProfile V = profileOf(Src, "V");
+  const Verdict &Vd = V.verdictFor(Candidate::Set);
   EXPECT_EQ(Vd.Kind, Legality::Unknown);
   EXPECT_FALSE(Vd.Reason.empty());
 }

@@ -218,6 +218,27 @@ TEST(AppRunnerTest, ProfiledRunMatchesSpecShape) {
   }
 }
 
+namespace {
+
+void expectSameRun(const RunOutcome &A, const RunOutcome &B) {
+  EXPECT_EQ(A.Cycles, B.Cycles);
+  EXPECT_EQ(A.Hw.Cycles, B.Hw.Cycles);
+  EXPECT_EQ(A.Hw.Instructions, B.Hw.Instructions);
+  EXPECT_EQ(A.Hw.L1Accesses, B.Hw.L1Accesses);
+  EXPECT_EQ(A.Hw.L1Misses, B.Hw.L1Misses);
+  EXPECT_EQ(A.Hw.L2Accesses, B.Hw.L2Accesses);
+  EXPECT_EQ(A.Hw.L2Misses, B.Hw.L2Misses);
+  EXPECT_EQ(A.Hw.Branches, B.Hw.Branches);
+  EXPECT_EQ(A.Hw.BranchMispredicts, B.Hw.BranchMispredicts);
+  EXPECT_EQ(A.Hw.Allocations, B.Hw.Allocations);
+  EXPECT_EQ(A.Hw.Frees, B.Hw.Frees);
+  EXPECT_EQ(A.FinalSize, B.FinalSize);
+  EXPECT_EQ(A.PeakSimBytes, B.PeakSimBytes);
+  EXPECT_EQ(A.Complete, B.Complete);
+}
+
+} // namespace
+
 TEST(AppRunnerTest, ProfiledCyclesMatchPlainRun) {
   // Profiling must observe, not perturb: every counter of a profiled run
   // equals the plain run's, on every kind and both machines.
@@ -231,21 +252,55 @@ TEST(AppRunnerTest, ProfiledCyclesMatchPlainRun) {
         auto Kind = static_cast<DsKind>(K);
         SCOPED_TRACE(MC.Name + " seed " + std::to_string(Seed) + " " +
                      dsKindName(Kind));
+        expectSameRun(runApp(Spec, Kind, MC),
+                      runAppProfiled(Spec, Kind, MC).Run);
+      }
+    }
+}
+
+TEST(AppRunnerTest, CapThatNeverFiresChangesNothing) {
+  // The tightest cap that cannot fire is the run's own count at margin 0:
+  // the drained count never passes the final one. Checking it between
+  // calls reads the model without draining it, so every counter matches.
+  AppConfig Cfg;
+  Cfg.TotalInterfCalls = 300;
+  for (const MachineConfig &MC :
+       {MachineConfig::core2(), MachineConfig::atom()})
+    for (uint64_t Seed : {3, 55, 321, 777}) {
+      AppSpec Spec = AppSpec::fromSeed(Seed, Cfg);
+      for (unsigned K = 0; K != NumDsKinds; ++K) {
+        auto Kind = static_cast<DsKind>(K);
+        SCOPED_TRACE(MC.Name + " seed " + std::to_string(Seed) + " " +
+                     dsKindName(Kind));
         RunOutcome Plain = runApp(Spec, Kind, MC);
-        RunOutcome Profiled = runAppProfiled(Spec, Kind, MC).Run;
-        EXPECT_EQ(Plain.Cycles, Profiled.Cycles);
-        EXPECT_EQ(Plain.Hw.Cycles, Profiled.Hw.Cycles);
-        EXPECT_EQ(Plain.Hw.Instructions, Profiled.Hw.Instructions);
-        EXPECT_EQ(Plain.Hw.L1Accesses, Profiled.Hw.L1Accesses);
-        EXPECT_EQ(Plain.Hw.L1Misses, Profiled.Hw.L1Misses);
-        EXPECT_EQ(Plain.Hw.L2Accesses, Profiled.Hw.L2Accesses);
-        EXPECT_EQ(Plain.Hw.L2Misses, Profiled.Hw.L2Misses);
-        EXPECT_EQ(Plain.Hw.Branches, Profiled.Hw.Branches);
-        EXPECT_EQ(Plain.Hw.BranchMispredicts, Profiled.Hw.BranchMispredicts);
-        EXPECT_EQ(Plain.Hw.Allocations, Profiled.Hw.Allocations);
-        EXPECT_EQ(Plain.Hw.Frees, Profiled.Hw.Frees);
-        EXPECT_EQ(Plain.FinalSize, Profiled.FinalSize);
-        EXPECT_EQ(Plain.PeakSimBytes, Profiled.PeakSimBytes);
+        CycleCap Cap{Plain.Cycles, 0.0};
+        RunOutcome Capped = runApp(Spec, Kind, MC, nullptr, &Cap);
+        EXPECT_TRUE(Capped.Complete);
+        expectSameRun(Plain, Capped);
+      }
+    }
+}
+
+TEST(AppRunnerTest, CapThatFiresStopsAtALowerBound) {
+  // Against a best of a quarter of the full count, every run is ruled out
+  // part-way: it stops with a count the cap rules out and that is no
+  // larger than the full run's.
+  AppConfig Cfg;
+  for (const MachineConfig &MC :
+       {MachineConfig::core2(), MachineConfig::atom()})
+    for (uint64_t Seed : {3, 55, 321, 777}) {
+      AppSpec Spec = AppSpec::fromSeed(Seed, Cfg);
+      for (unsigned K = 0; K != NumDsKinds; ++K) {
+        auto Kind = static_cast<DsKind>(K);
+        SCOPED_TRACE(MC.Name + " seed " + std::to_string(Seed) + " " +
+                     dsKindName(Kind));
+        RunOutcome Full = runApp(Spec, Kind, MC);
+        CycleCap Cap{Full.Cycles / 4, 0.05};
+        RunOutcome Capped = runApp(Spec, Kind, MC, nullptr, &Cap);
+        EXPECT_FALSE(Capped.Complete);
+        EXPECT_LE(Capped.Cycles, Full.Cycles);
+        EXPECT_TRUE(Cap.rulesOut(Capped.Cycles));
+        EXPECT_EQ(Capped.Cycles, Capped.Hw.Cycles);
       }
     }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace brainy;
@@ -77,6 +78,159 @@ TEST(OracleTest, RaceWithAppliesFootnoteTwoRule) {
   EXPECT_EQ(Free.Margin, 0.0);
 }
 
+namespace {
+
+/// Races fake full counts uncapped and bounded, and checks what Phase I
+/// relies on: the same winner and the same verdict on the margin, with
+/// the full race's margin clamped at WinnerMargin. A fake run's partial
+/// counts climb in quarters of its full count, and a cap stops it at the
+/// first quarter it rules out. \p Asked and \p Caps (when non-null)
+/// receive the bounded race's calls.
+RaceResult raceBothWays(const std::vector<DsKind> &Candidates,
+                        const std::vector<double> &Cycles,
+                        double WinnerMargin,
+                        std::vector<DsKind> *Asked = nullptr,
+                        std::vector<double> *Caps = nullptr) {
+  std::array<double, NumDsKinds> Full{};
+  for (size_t I = 0; I != Candidates.size(); ++I)
+    Full[static_cast<unsigned>(Candidates[I])] = Cycles[I];
+  RaceResult Exact = raceWith(Candidates, [&](DsKind Kind) {
+    return Full[static_cast<unsigned>(Kind)];
+  });
+  RaceResult Bounded = raceWith(
+      Candidates, WinnerMargin, [&](DsKind Kind, const CycleCap *Cap) {
+        if (Asked)
+          Asked->push_back(Kind);
+        if (Caps)
+          Caps->push_back(Cap ? Cap->Best : -1);
+        double C = Full[static_cast<unsigned>(Kind)];
+        for (double Part : {C / 4, C / 2, C * 3 / 4})
+          if (Cap && Cap->rulesOut(Part))
+            return Part;
+        return C;
+      });
+  EXPECT_EQ(Bounded.Best, Exact.Best);
+  EXPECT_EQ(Bounded.Margin < WinnerMargin, Exact.Margin < WinnerMargin);
+  EXPECT_EQ(Bounded.Margin, std::min(Exact.Margin, WinnerMargin));
+  return Bounded;
+}
+
+} // namespace
+
+TEST(OracleTest, BoundedRaceRacesCheapestFirstUnderTheRunningBest) {
+  // The oo-vector family, fastest first from hash_set. Every run after the
+  // first is capped at the running best; deque, list and vector stop at
+  // their first quarter past 100 by 5%.
+  std::vector<DsKind> Asked;
+  std::vector<double> Caps;
+  RaceResult R = raceBothWays(
+      replacementCandidates(DsKind::Vector, /*OrderOblivious=*/true),
+      {400, 300, 250, 110, 120, 100}, 0.05, &Asked, &Caps);
+  EXPECT_EQ(Asked, (std::vector<DsKind>{DsKind::HashSet, DsKind::Set,
+                                        DsKind::AvlSet, DsKind::Deque,
+                                        DsKind::List, DsKind::Vector}));
+  EXPECT_EQ(Caps, (std::vector<double>{-1, 100, 100, 100, 100, 100}));
+  EXPECT_EQ(R.Best, DsKind::HashSet);
+  EXPECT_EQ(R.Margin, 0.05); // 0.1, clamped
+  EXPECT_EQ(R.cyclesOf(DsKind::Deque), 125);
+  EXPECT_EQ(R.cyclesOf(DsKind::List), 150);
+  EXPECT_EQ(R.cyclesOf(DsKind::Vector), 200);
+
+  // A bound that sets the second-best gives a margin of at least
+  // WinnerMargin, clamped to it: list 100 first, vector stopped at 150.
+  RaceResult Bound =
+      raceBothWays({DsKind::Vector, DsKind::List}, {200, 100}, 0.05);
+  EXPECT_EQ(Bound.Best, DsKind::List);
+  EXPECT_EQ(Bound.cyclesOf(DsKind::Vector), 150);
+  EXPECT_EQ(Bound.Margin, 0.05);
+}
+
+TEST(OracleTest, BoundedRaceEdgeCases) {
+  // A tie with the running best at margin 0 is never ruled out (no
+  // partial count passes the final one), so the tie stays exact and the
+  // earliest kind in Table-1 order wins.
+  std::vector<DsKind> Asked;
+  RaceResult Tie = raceBothWays({DsKind::Vector, DsKind::List}, {80, 80},
+                                /*WinnerMargin=*/0.0, &Asked);
+  EXPECT_EQ(Asked, (std::vector<DsKind>{DsKind::List, DsKind::Vector}));
+  EXPECT_EQ(Tie.Best, DsKind::Vector);
+  EXPECT_EQ(Tie.Margin, 0.0);
+  EXPECT_EQ(Tie.cyclesOf(DsKind::Vector), 80);
+
+  // A best of 0 rules out any positive count; the margin stays 0.
+  RaceResult Free = raceBothWays({DsKind::Vector, DsKind::List, DsKind::Deque},
+                                 {5, 0, 3}, 0.05);
+  EXPECT_EQ(Free.Best, DsKind::List);
+  EXPECT_EQ(Free.Margin, 0.0);
+  EXPECT_EQ(Free.cyclesOf(DsKind::Vector), 1.25);
+
+  // A single candidate is measured once, uncapped.
+  std::vector<double> Caps;
+  RaceResult Single =
+      raceBothWays({DsKind::Vector}, {100}, 0.05, nullptr, &Caps);
+  EXPECT_EQ(Caps, (std::vector<double>{-1}));
+  EXPECT_EQ(Single.Best, DsKind::Vector);
+  EXPECT_EQ(Single.Margin, 0.0);
+}
+
+TEST(OracleTest, BoundedRaceMatchesTheFullRaceOnRealRuns) {
+  // Phase I's bounded race against the uncapped one on real simulations:
+  // seeds 1-300, every family each app matches, both machines.
+  AppConfig Cfg;
+  Cfg.TotalInterfCalls = 300;
+  Cfg.MaxInitialSize = 2000;
+  TrainOptions Opts;
+  Opts.GenConfig = Cfg;
+  const double Margin = Opts.WinnerMargin;
+  unsigned Races = 0, Rejects = 0, Stopped = 0;
+  for (const MachineConfig &MC :
+       {MachineConfig::core2(), MachineConfig::atom()}) {
+    TrainingFramework FW(Opts, MC);
+    for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+      AppSpec Spec = AppSpec::fromSeed(Seed, Cfg);
+      std::array<double, NumDsKinds> Exact;
+      Exact.fill(-1);
+      auto ExactOf = [&](DsKind Kind) {
+        double &C = Exact[static_cast<unsigned>(Kind)];
+        if (C < 0)
+          C = runApp(Spec, Kind, MC).Cycles;
+        return C;
+      };
+      for (unsigned M = 0; M != NumModelKinds; ++M) {
+        auto Model = static_cast<ModelKind>(M);
+        if (!FW.specMatchesModel(Seed, Model))
+          continue;
+        SCOPED_TRACE(MC.Name + " seed " + std::to_string(Seed) + " " +
+                     modelKindName(Model));
+        std::vector<DsKind> Candidates =
+            replacementCandidates(modelOriginal(Model), Spec.OrderOblivious);
+        RaceResult Full = raceWith(Candidates, ExactOf);
+        RaceResult Bounded = raceWith(
+            Candidates, Margin, [&](DsKind Kind, const CycleCap *Cap) {
+              RunOutcome Run = runApp(Spec, Kind, MC, nullptr, Cap);
+              if (Run.Complete) {
+                EXPECT_EQ(Run.Cycles, ExactOf(Kind));
+              } else {
+                ++Stopped;
+                EXPECT_TRUE(Cap && Cap->rulesOut(Run.Cycles));
+                EXPECT_LE(Run.Cycles, ExactOf(Kind));
+              }
+              return Run.Cycles;
+            });
+        EXPECT_EQ(Bounded.Best, Full.Best);
+        EXPECT_EQ(Bounded.Margin < Margin, Full.Margin < Margin);
+        EXPECT_EQ(Bounded.Margin, std::min(Full.Margin, Margin));
+        ++Races;
+        Rejects += Full.Margin < Margin;
+      }
+    }
+  }
+  // Not vacuous: runs were stopped, and both verdicts occurred.
+  EXPECT_GT(Stopped, Races / 2);
+  EXPECT_GT(Rejects, 0u);
+  EXPECT_LT(Rejects, Races);
+}
+
 TEST(OracleTest, OracleBestHonoursOrderObliviousness) {
   AppConfig Cfg;
   Cfg.TotalInterfCalls = 200;
@@ -92,6 +246,62 @@ TEST(OracleTest, OracleBestHonoursOrderObliviousness) {
     return;
   }
   FAIL() << "no order-aware seed found";
+}
+
+//===----------------------------------------------------------------------===//
+// MeasurementCache: exact values and bounds
+//===----------------------------------------------------------------------===//
+
+TEST(MeasurementCacheTest, StoredBoundServesOnlyCapsThatRuleItOut) {
+  MeasurementCache Cache;
+  CycleRecord Rec;
+  Rec.Seed = 7;
+  Rec.Mask = Rec.BoundMask = 1u << static_cast<unsigned>(DsKind::Vector);
+  Rec.Cycles[static_cast<unsigned>(DsKind::Vector)] = 150;
+  Cache.restoreRecord(Rec);
+
+  unsigned Runs = 0;
+  RunOutcome Next;
+  auto Measure = [&] {
+    ++Runs;
+    return Next;
+  };
+  MeasurementCache::Shard S = Cache.shard();
+
+  // 150 is 50% past a best of 100: the bound answers without a run.
+  CycleCap Loose{100, 0.05};
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, &Loose, Measure), 150);
+  EXPECT_EQ(Runs, 0u);
+
+  // 150 is within 5% of 145: the kind is re-run under the caller's cap,
+  // and the new, larger bound then serves that cap from the shard.
+  CycleCap Tight{145, 0.05};
+  Next.Cycles = 160;
+  Next.Complete = false;
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, &Tight, Measure), 160);
+  EXPECT_EQ(Runs, 1u);
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, &Tight, Measure), 160);
+  EXPECT_EQ(Runs, 1u);
+
+  // An uncapped caller needs the exact count; once known it serves every
+  // cap.
+  Next.Cycles = 170;
+  Next.Complete = true;
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, nullptr, Measure), 170);
+  EXPECT_EQ(Runs, 2u);
+  CycleCap Any{169, 0.05};
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, &Any, Measure), 170);
+  EXPECT_EQ(S.cyclesOf(7, DsKind::Vector, nullptr, Measure), 170);
+  EXPECT_EQ(Runs, 2u);
+  EXPECT_EQ(Cache.freshMeasurements(), 2u);
+  EXPECT_EQ(Cache.stoppedEarly(), 1u);
+
+  // Folded back, the exact value replaces the stored bound.
+  Cache.merge(std::move(S));
+  std::vector<CycleRecord> Records = Cache.records();
+  ASSERT_EQ(Records.size(), 1u);
+  EXPECT_EQ(Records[0].BoundMask, 0u);
+  EXPECT_EQ(Records[0].Cycles[static_cast<unsigned>(DsKind::Vector)], 170);
 }
 
 //===----------------------------------------------------------------------===//

@@ -45,6 +45,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -189,6 +190,7 @@ TEST(WireFormatTest, InitRoundTripsEveryField) {
   M.Config.DataElemSizes = {8, 24};
   M.Config.MaxIterCount = 99;
   M.Config.OrderObliviousProb = 0.25;
+  M.WinnerMargin = 0.2;
   M.EvalRetries = 5;
   M.ExcludeSeeds = {3, 17, 4096};
 
@@ -203,6 +205,7 @@ TEST(WireFormatTest, InitRoundTripsEveryField) {
   EXPECT_EQ(Back.Config.DataElemSizes, M.Config.DataElemSizes);
   EXPECT_EQ(Back.Config.MaxIterCount, M.Config.MaxIterCount);
   EXPECT_EQ(Back.Config.OrderObliviousProb, M.Config.OrderObliviousProb);
+  EXPECT_EQ(Back.WinnerMargin, M.WinnerMargin);
   EXPECT_EQ(Back.EvalRetries, M.EvalRetries);
   EXPECT_EQ(Back.ExcludeSeeds, M.ExcludeSeeds);
 }
@@ -240,6 +243,19 @@ TEST(WireFormatTest, InitRejectsMachinesTheSimulatorCannotRun) {
   }
 }
 
+TEST(WireFormatTest, InitRejectsMarginsThatCannotCapARace) {
+  InitMsg M;
+  M.WinnerMargin = 0;
+  EXPECT_EQ(decodeError([&] { decodeInit(encodeInit(M)); }), ErrCode::Ok);
+  for (double Bad : {-0.05, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    M.WinnerMargin = Bad;
+    EXPECT_EQ(decodeError([&] { decodeInit(encodeInit(M)); }),
+              ErrCode::BadFormat)
+        << "margin " << Bad;
+  }
+}
+
 TEST(WireFormatTest, EvalChunkRoundTripsKnownRecordsInsideItsChunk) {
   EvalChunkMsg Chunk;
   Chunk.BeginSeed = 97;
@@ -248,6 +264,7 @@ TEST(WireFormatTest, EvalChunkRoundTripsKnownRecordsInsideItsChunk) {
   CycleRecord Rec;
   Rec.Seed = 101;
   Rec.Mask = (1u << 0) | (1u << 3);
+  Rec.BoundMask = 1u << 0; // kind 0 is a lower bound, kind 3 exact
   Rec.Cycles[0] = 123.5;
   Rec.Cycles[3] = 88.25;
   Chunk.Known.push_back(Rec);
@@ -258,6 +275,7 @@ TEST(WireFormatTest, EvalChunkRoundTripsKnownRecordsInsideItsChunk) {
   ASSERT_EQ(Back.Known.size(), 1u);
   EXPECT_EQ(Back.Known[0].Seed, 101u);
   EXPECT_EQ(Back.Known[0].Mask, Rec.Mask);
+  EXPECT_EQ(Back.Known[0].BoundMask, Rec.BoundMask);
   EXPECT_EQ(Back.Known[0].Cycles[0], 123.5);
   EXPECT_EQ(Back.Known[0].Cycles[3], 88.25);
 
@@ -300,8 +318,10 @@ TEST(WireFormatTest, ChunkDoneRoundTripsSlotsAndFreshRecords) {
   M.Slots[2].Ok = true;
   CycleRecord Rec;
   Rec.Seed = 18;
-  Rec.Mask = 1u << 5;
+  Rec.Mask = (1u << 5) | (1u << 8);
+  Rec.BoundMask = 1u << 8;
   Rec.Cycles[5] = 777.0;
+  Rec.Cycles[8] = 0.1 + 0.2;
   M.Fresh.push_back(Rec);
 
   ChunkDoneMsg Back = decodeChunkDone(encodeChunkDone(M));
@@ -315,13 +335,52 @@ TEST(WireFormatTest, ChunkDoneRoundTripsSlotsAndFreshRecords) {
   EXPECT_FALSE(Back.Slots[1].Ok);
   ASSERT_EQ(Back.Fresh.size(), 1u);
   EXPECT_EQ(Back.Fresh[0].Seed, 18u);
+  EXPECT_EQ(Back.Fresh[0].Mask, Rec.Mask);
+  EXPECT_EQ(Back.Fresh[0].BoundMask, Rec.BoundMask);
   EXPECT_EQ(Back.Fresh[0].Cycles[5], 777.0);
+  EXPECT_EQ(Back.Fresh[0].Cycles[8], 0.1 + 0.2);
 
   // The chunk is [17, 20): a record for seed 20 lies outside it.
   M.Fresh[0].Seed = 20;
   std::string Payload = encodeChunkDone(M);
   EXPECT_EQ(decodeError([&] { decodeChunkDone(Payload); }),
             ErrCode::BadFormat);
+}
+
+TEST(WireFormatTest, CycleRecordsNeedAKnownKindAndBoundsInsideTheirMask) {
+  // The measurement-cache file's record rules: an empty mask would make an
+  // empty cache entry, and a bound bit outside the mask has no value.
+  auto CodeOf = [](const CycleRecord &Rec) {
+    EvalChunkMsg Chunk;
+    Chunk.BeginSeed = 40;
+    Chunk.EndSeed = 56;
+    Chunk.Known.push_back(Rec);
+    ChunkDoneMsg Done;
+    Done.BeginSeed = 40;
+    Done.Slots.resize(16);
+    Done.Fresh.push_back(Rec);
+    std::string ChunkPayload = encodeEvalChunk(Chunk);
+    std::string DonePayload = encodeChunkDone(Done);
+    ErrCode ChunkCode =
+        decodeError([&] { decodeEvalChunk(ChunkPayload); });
+    EXPECT_EQ(ChunkCode,
+              decodeError([&] { decodeChunkDone(DonePayload); }));
+    return ChunkCode;
+  };
+  CycleRecord Rec;
+  Rec.Seed = 41;
+  Rec.Mask = 1u << 2;
+  Rec.Cycles[2] = 5.0;
+  EXPECT_EQ(CodeOf(Rec), ErrCode::Ok);
+  Rec.BoundMask = 1u << 2;
+  EXPECT_EQ(CodeOf(Rec), ErrCode::Ok);
+
+  CycleRecord Empty = Rec;
+  Empty.Mask = Empty.BoundMask = 0;
+  EXPECT_EQ(CodeOf(Empty), ErrCode::BadFormat);
+  CycleRecord Stray = Rec;
+  Stray.BoundMask = (1u << 2) | (1u << 3);
+  EXPECT_EQ(CodeOf(Stray), ErrCode::BadFormat);
 }
 
 TEST(WireFormatTest, DecodersRejectWrongKindAndTrailingBytes) {
@@ -566,6 +625,24 @@ TEST(DistributedTrainingTest, ExcludedSeedsTravelToWorkers) {
   DistOpts.Distribution = &Coord;
   TrainingFramework Distributed(DistOpts, MC);
   expectSameResults(Want, Distributed.phaseOneAll());
+}
+
+TEST(DistributedTrainingTest, WinnerMarginTravelsToWorkers) {
+  // Workers cap their races at the coordinator's margin, not the default:
+  // a rival stopped at 5% past the best would pass for a near-tie here.
+  MachineConfig MC = MachineConfig::core2();
+  TrainOptions Opts = tinyOptions();
+  Opts.WinnerMargin = 0.2;
+
+  TrainingFramework Serial(Opts, MC);
+  ResultArray Want = Serial.phaseOneAll();
+
+  Coordinator Coord(MC, Opts, 2, threadLauncher());
+  TrainOptions DistOpts = Opts;
+  DistOpts.Distribution = &Coord;
+  TrainingFramework Distributed(DistOpts, MC);
+  expectSameResults(Want, Distributed.phaseOneAll());
+  EXPECT_EQ(Coord.lostSeeds(), 0u);
 }
 
 TEST(DistributedTrainingTest, WarmMeasurementCacheSkipsWorkerSimulation) {

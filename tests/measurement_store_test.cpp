@@ -4,8 +4,10 @@
 //
 // The on-disk MeasurementCache (DESIGN.md §12):
 //
-//  * brainy-mcache files round-trip bit-exactly (%a cycle values) and
-//    re-serialise byte-identically;
+//  * brainy-mcache files round-trip bit-exactly (%a cycle values, and
+//    which of them are lower bounds) and re-serialise byte-identically;
+//    v1 files load with every value exact;
+//  * folding exact values and bounds gives the same entry in every order;
 //  * the config fingerprint rejects measurements recorded under different
 //    generator or machine parameters;
 //  * corruption, truncation at every offset, and injected I/O faults all
@@ -21,9 +23,11 @@
 #include "core/MeasurementStore.h"
 #include "core/TrainingFramework.h"
 #include "support/FaultInjector.h"
+#include "support/FramedFile.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -68,8 +72,10 @@ void populateCache(MeasurementCache &Cache) {
   Cache.restoreRecord(A);
   CycleRecord B;
   B.Seed = 90000000001ull;
-  B.Mask = (1u << 2);
+  B.Mask = (1u << 2) | (1u << 7);
+  B.BoundMask = 1u << 7; // a lower bound from a run the race stopped
   B.Cycles[2] = 1.5e18;
+  B.Cycles[7] = 1.0 / 3.0;
   Cache.restoreRecord(B);
 }
 
@@ -80,6 +86,7 @@ void expectSameRecords(const MeasurementCache &A, const MeasurementCache &B) {
   for (size_t I = 0; I != RA.size(); ++I) {
     EXPECT_EQ(RA[I].Seed, RB[I].Seed);
     EXPECT_EQ(RA[I].Mask, RB[I].Mask);
+    EXPECT_EQ(RA[I].BoundMask, RB[I].BoundMask);
     for (unsigned K = 0; K != NumDsKinds; ++K)
       if (RA[I].Mask & (1u << K))
         EXPECT_EQ(RA[I].Cycles[K], RB[I].Cycles[K])
@@ -149,6 +156,72 @@ TEST(MeasurementStoreTest, SaveLoadRoundTripsBitExactly) {
   std::remove(Path.c_str());
 }
 
+TEST(MeasurementStoreTest, VersionOneFilesLoadExactAndSaveAsVersionTwo) {
+  AppConfig Gen;
+  MachineConfig MC = MachineConfig::core2();
+  // A v1 record line is `<seed> <mask> <cycles...>`: no bound mask.
+  std::string V1 =
+      frame("brainy-mcache", "v1",
+            {{"machine", MC.Name},
+             {"fingerprint",
+              fingerprintField(measurementFingerprint(Gen, MC))},
+             {"records", "2"}},
+            "3 17 0x1.0be1d48p+26 0x1.3333333333334p-2\n"
+            "9 4 0x1.4d0p+10\n");
+  MeasurementCache Cache;
+  Expected<size_t> Count = parseMeasurements(V1, Cache, Gen, MC);
+  ASSERT_TRUE(static_cast<bool>(Count)) << Count.error().message();
+  EXPECT_EQ(*Count, 2u);
+  std::vector<CycleRecord> Records = Cache.records();
+  ASSERT_EQ(Records.size(), 2u);
+  EXPECT_EQ(Records[0].Mask, 17u);
+  EXPECT_EQ(Records[0].Cycles[0], 70223698.0);
+  EXPECT_EQ(Records[0].Cycles[4], 0.1 + 0.2);
+  EXPECT_EQ(Records[1].Cycles[2], 1332.0);
+  for (const CycleRecord &R : Records)
+    EXPECT_EQ(R.BoundMask, 0u) << "seed " << R.Seed;
+
+  std::string Saved = measurementsToString(Cache, Gen, MC);
+  EXPECT_EQ(Saved.rfind("brainy-mcache v2\n", 0), 0u);
+  MeasurementCache Again;
+  ASSERT_TRUE(static_cast<bool>(parseMeasurements(Saved, Again, Gen, MC)));
+  expectSameRecords(Cache, Again);
+}
+
+TEST(MeasurementStoreTest, FoldGivesTheSameEntryInEveryOrder) {
+  // One (seed, kind) met as two bounds and the exact value, and another
+  // kind only as bounds: exact beats bound, the larger bound beats the
+  // smaller, whatever the order.
+  std::vector<CycleRecord> Parts(4);
+  for (CycleRecord &R : Parts)
+    R.Seed = 5;
+  Parts[0].Mask = Parts[0].BoundMask = (1u << 1) | (1u << 6);
+  Parts[0].Cycles[1] = 100;
+  Parts[0].Cycles[6] = 40;
+  Parts[1].Mask = Parts[1].BoundMask = 1u << 1;
+  Parts[1].Cycles[1] = 130;
+  Parts[2].Mask = 1u << 1; // exact
+  Parts[2].Cycles[1] = 150;
+  Parts[3].Mask = Parts[3].BoundMask = 1u << 6;
+  Parts[3].Cycles[6] = 55;
+
+  std::vector<size_t> Order = {0, 1, 2, 3};
+  unsigned Orders = 0;
+  do {
+    MeasurementCache Cache;
+    for (size_t I : Order)
+      Cache.restoreRecord(Parts[I]);
+    std::vector<CycleRecord> Records = Cache.records();
+    ASSERT_EQ(Records.size(), 1u);
+    EXPECT_EQ(Records[0].Mask, (1u << 1) | (1u << 6));
+    EXPECT_EQ(Records[0].BoundMask, 1u << 6);
+    EXPECT_EQ(Records[0].Cycles[1], 150);
+    EXPECT_EQ(Records[0].Cycles[6], 55);
+    ++Orders;
+  } while (std::next_permutation(Order.begin(), Order.end()));
+  EXPECT_EQ(Orders, 24u);
+}
+
 TEST(MeasurementStoreTest, MergeCountsFreshButRestoreDoesNot) {
   MeasurementCache Cache;
   CycleRecord R;
@@ -167,6 +240,25 @@ TEST(MeasurementStoreTest, MergeCountsFreshButRestoreDoesNot) {
   R2.Cycles[5] = 8.0;
   Cache.mergeRecord(R2);
   EXPECT_EQ(Cache.freshMeasurements(), 1u);
+  EXPECT_EQ(Cache.stoppedEarly(), 0u);
+
+  // A new bound counts as fresh and stopped early; a smaller bound
+  // changes nothing; the exact value replacing it is fresh again.
+  CycleRecord Bound;
+  Bound.Seed = 11;
+  Bound.Mask = Bound.BoundMask = 1u << 7;
+  Bound.Cycles[7] = 30.0;
+  Cache.mergeRecord(Bound);
+  EXPECT_EQ(Cache.freshMeasurements(), 2u);
+  EXPECT_EQ(Cache.stoppedEarly(), 1u);
+  Bound.Cycles[7] = 20.0;
+  Cache.mergeRecord(Bound);
+  EXPECT_EQ(Cache.freshMeasurements(), 2u);
+  Bound.BoundMask = 0;
+  Bound.Cycles[7] = 45.0;
+  Cache.mergeRecord(Bound);
+  EXPECT_EQ(Cache.freshMeasurements(), 3u);
+  EXPECT_EQ(Cache.stoppedEarly(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,7 +300,7 @@ TEST(MeasurementStoreTest, RejectsEveryHeaderAndPayloadCorruption) {
   EXPECT_EQ(CodeOf(""), ErrCode::Truncated);
   EXPECT_EQ(CodeOf("brainy-bundle v2\n"), ErrCode::BadMagic);
   std::string BadVersion = Good;
-  BadVersion.replace(BadVersion.find("v1"), 2, "v9");
+  BadVersion.replace(BadVersion.find("v2"), 2, "v9");
   EXPECT_EQ(CodeOf(BadVersion), ErrCode::BadVersion);
 
   // Payload byte flip → checksum.
@@ -218,6 +310,18 @@ TEST(MeasurementStoreTest, RejectsEveryHeaderAndPayloadCorruption) {
 
   // Trailing garbage after the declared payload.
   EXPECT_EQ(CodeOf(Good + "extra\n"), ErrCode::BadFormat);
+
+  // Well-framed records whose masks name no kind, or a bound outside the
+  // mask.
+  std::string Fingerprint = fingerprintField(measurementFingerprint(Gen, MC));
+  for (const char *Line : {"3 0 0\n", "3 1 2 0x1p+0\n"})
+    EXPECT_EQ(CodeOf(frame("brainy-mcache", "v2",
+                           {{"machine", MC.Name},
+                            {"fingerprint", Fingerprint},
+                            {"records", "1"}},
+                           Line)),
+              ErrCode::BadFormat)
+        << Line;
 
   // Wrong machine and wrong generator config are distinct rejections.
   Expected<size_t> Wrong =

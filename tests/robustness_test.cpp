@@ -495,24 +495,26 @@ TEST(FaultyTrainingTest, CacheFaultsRemeasureWithoutChangingResults) {
   unsigned Measured = 0;
   auto Measure = [&] {
     ++Measured;
-    return 42.0;
+    RunOutcome Run;
+    Run.Cycles = 42.0;
+    return Run;
   };
   {
     MeasurementCache::Shard S = Cache.shard();
-    EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, Measure), 42.0);
+    EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, nullptr, Measure), 42.0);
     Cache.merge(std::move(S));
   }
   EXPECT_EQ(Measured, 1u);
   {
     FaultGuard Guard("cache:1:5");
     MeasurementCache::Shard S = Cache.shard();
-    EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, Measure), 42.0);
+    EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, nullptr, Measure), 42.0);
     Cache.merge(std::move(S));
     EXPECT_EQ(Measured, 2u) << "corrupt hit was not remeasured";
   }
   // Disarmed again: the (identical) remeasured value serves hits.
   MeasurementCache::Shard S = Cache.shard();
-  EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, Measure), 42.0);
+  EXPECT_DOUBLE_EQ(S.cyclesOf(1, DsKind::Vector, nullptr, Measure), 42.0);
   EXPECT_EQ(Measured, 2u);
 }
 

@@ -286,6 +286,23 @@ TEST(PhaseOneWindowTest, LocalSpeculationEndsAtTheStop) {
             PhaseOneLookahead * (Jobs - 1));
 }
 
+TEST(PhaseOneWindowTest, StatsCountTheScansOwnSimulations) {
+  // Reporting only, but they must describe the scan: the bounded race
+  // stops some runs early, and a second scan over the same seeds is
+  // answered from the cache.
+  MachineConfig MC = MachineConfig::core2();
+  TrainingFramework FW(parOptions(1), MC);
+  PhaseOneStats First, Again;
+  FW.phaseOneAll(&First);
+  EXPECT_EQ(First.Simulations, FW.measurements().freshMeasurements());
+  EXPECT_EQ(First.StoppedEarly, FW.measurements().stoppedEarly());
+  EXPECT_GT(First.StoppedEarly, 0u);
+  EXPECT_LT(First.StoppedEarly, First.Simulations);
+  FW.phaseOneAll(&Again);
+  EXPECT_EQ(Again.Simulations, 0u);
+  EXPECT_EQ(Again.StoppedEarly, 0u);
+}
+
 TEST(TrainingParallelTest, MeasurementCachePersistsAcrossCalls) {
   MachineConfig MC = MachineConfig::core2();
   TrainingFramework FW(parOptions(4), MC);

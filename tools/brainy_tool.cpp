@@ -328,11 +328,13 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
   Brainy B = Brainy::train(Opts, Machine, &Phase1);
   std::fprintf(stderr,
                "phase I: %llu seed(s) merged, %llu evaluated past the stop, "
-               "evaluators waited %.2f s for the window\n",
+               "evaluators waited %.2f s for the window, %llu simulation(s) "
+               "run, %llu stopped early by the race\n",
                (unsigned long long)Phase1.SeedsCommitted,
                (unsigned long long)(Phase1.SeedsClaimed -
                                     Phase1.SeedsCommitted),
-               Phase1.IdleSeconds);
+               Phase1.IdleSeconds, (unsigned long long)Phase1.Simulations,
+               (unsigned long long)Phase1.StoppedEarly);
   if (Coord)
     std::fprintf(stderr,
                  "distributed: %llu seeds lost to worker failures, "
