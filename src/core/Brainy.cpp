@@ -6,10 +6,8 @@
 
 #include "core/Brainy.h"
 
-#include "core/MeasurementStore.h"
 #include "support/FramedFile.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 using namespace brainy;
@@ -81,29 +79,6 @@ Brainy Brainy::train(const TrainOptions &Options,
     Out.Models[I] = BrainyModel::train(static_cast<ModelKind>(I),
                                        Examples[I], Options.Net);
   });
-  if (!Options.MeasurementCacheFile.empty()) {
-    // Distributed runs measure on workers, so the coordinator's cache —
-    // not the framework's — holds Phase I's measurements. Fold them in
-    // before persisting; mergeRecord counts only kinds whose value it
-    // changes as fresh, so a warm distributed rerun still reports zero
-    // fresh measurements.
-    if (Options.Distribution)
-      if (const MeasurementCache *Remote = Options.Distribution->measurements())
-        for (const CycleRecord &Rec : Remote->records())
-          Framework.measurements().mergeRecord(Rec);
-    size_t Saved = 0;
-    if (Error E = saveMeasurements(Options.MeasurementCacheFile,
-                                   Framework.measurements(), Options.GenConfig,
-                                   Machine, &Saved))
-      std::fprintf(stderr, "brainy: could not save measurement cache: %s\n",
-                   E.message().c_str());
-    std::fprintf(stderr,
-                 "brainy: measurement cache: loaded %zu record(s), %" PRIu64
-                 " fresh measurement(s), saved %zu record(s) to %s\n",
-                 Framework.loadedMeasurements(),
-                 Framework.measurements().freshMeasurements(), Saved,
-                 Options.MeasurementCacheFile.c_str());
-  }
   return Out;
 }
 

@@ -32,14 +32,15 @@ void fnv(uint64_t &H, const void *Data, size_t Size) {
   }
 }
 
-} // namespace
-
-void brainy::fnvStr(uint64_t &H, const std::string &S) {
+/// The fingerprint's absorb steps: integers as decimal text, doubles as
+/// their %a rendering, each followed by '|' so adjacent fields cannot
+/// alias.
+void fnvStr(uint64_t &H, const std::string &S) {
   fnv(H, S.data(), S.size());
   fnv(H, "|", 1);
 }
 
-void brainy::fnvInt(uint64_t &H, uint64_t V) {
+void fnvInt(uint64_t &H, uint64_t V) {
   char Buf[24];
   int N = std::snprintf(Buf, sizeof(Buf), "%" PRIu64 "|", V);
   fnv(H, Buf, static_cast<size_t>(N));
@@ -47,19 +48,15 @@ void brainy::fnvInt(uint64_t &H, uint64_t V) {
 
 /// Doubles are hashed by their %a rendering: exact bit pattern, no
 /// locale/rounding ambiguity.
-void brainy::fnvDouble(uint64_t &H, double V) {
+void fnvDouble(uint64_t &H, double V) {
   char Buf[40];
   int N = std::snprintf(Buf, sizeof(Buf), "%a|", V);
   fnv(H, Buf, static_cast<size_t>(N));
 }
 
-std::string brainy::fingerprintField(uint64_t Fingerprint) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fingerprint);
-  return Buf;
-}
-
-Error brainy::checkFingerprint(const std::string &Field, uint64_t Want) {
+/// Reads a `fingerprint` field: BadFormat unless it is hex, TagMismatch
+/// unless it equals \p Want (the file belongs to another configuration).
+Error checkFingerprint(const std::string &Field, uint64_t Want) {
   uint64_t Got = 0;
   if (std::sscanf(Field.c_str(), "%16" SCNx64, &Got) != 1)
     return Error(ErrCode::BadFormat, "expected 'fingerprint <hex>'");
@@ -70,6 +67,14 @@ Error brainy::checkFingerprint(const std::string &Field, uint64_t Want) {
                 "config fingerprint %016" PRIx64 ", this run is %016" PRIx64,
                 Got, Want);
   return Error(ErrCode::TagMismatch, Buf);
+}
+
+} // namespace
+
+std::string brainy::fingerprintField(uint64_t Fingerprint) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fingerprint);
+  return Buf;
 }
 
 uint64_t brainy::measurementFingerprint(const AppConfig &Gen,
@@ -139,14 +144,8 @@ std::string brainy::measurementsToString(const MeasurementCache &Cache,
 Error brainy::saveMeasurements(const std::string &Path,
                                const MeasurementCache &Cache,
                                const AppConfig &Gen,
-                               const MachineConfig &Machine,
-                               size_t *SavedOut) {
-  if (Error E =
-          writeFileAtomic(Path, measurementsToString(Cache, Gen, Machine)))
-    return E;
-  if (SavedOut)
-    *SavedOut = Cache.seeds();
-  return Error::success();
+                               const MachineConfig &Machine) {
+  return writeFileAtomic(Path, measurementsToString(Cache, Gen, Machine));
 }
 
 Expected<size_t> brainy::parseMeasurements(const std::string &Text,

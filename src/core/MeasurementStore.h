@@ -54,20 +54,8 @@
 
 namespace brainy {
 
-/// FNV-1a-64 absorb steps for configuration fingerprints (this file's
-/// and the checkpoint's): integers as decimal text, doubles as their %a
-/// rendering, each followed by '|' so adjacent fields cannot alias.
-void fnvStr(uint64_t &H, const std::string &S);
-void fnvInt(uint64_t &H, uint64_t V);
-void fnvDouble(uint64_t &H, double V);
-
-/// The `fingerprint` header field of the cache and checkpoint formats:
-/// 16 hex digits.
+/// The `fingerprint` header field: 16 hex digits.
 std::string fingerprintField(uint64_t Fingerprint);
-
-/// Reads a `fingerprint` field: BadFormat unless it is hex, TagMismatch
-/// unless it equals \p Want (the file belongs to another configuration).
-Error checkFingerprint(const std::string &Field, uint64_t Want);
 
 /// FNV-1a-64 over the measurement-relevant parameters of \p Gen and
 /// \p Machine (all generator knobs, all machine-model knobs; doubles
@@ -81,11 +69,9 @@ std::string measurementsToString(const MeasurementCache &Cache,
                                  const AppConfig &Gen,
                                  const MachineConfig &Machine);
 
-/// Atomically writes \p Cache to \p Path (temp file + rename). On success
-/// \p SavedOut (if non-null) receives the record count.
+/// Atomically writes \p Cache to \p Path (temp file + rename).
 Error saveMeasurements(const std::string &Path, const MeasurementCache &Cache,
-                       const AppConfig &Gen, const MachineConfig &Machine,
-                       size_t *SavedOut = nullptr);
+                       const AppConfig &Gen, const MachineConfig &Machine);
 
 /// Parses \p Text and restores its records into \p Cache (uncounted: a
 /// restored record is not a fresh measurement). Returns the record count.

@@ -18,7 +18,6 @@
 
 #include "core/TrainingFramework.h"
 
-#include "core/Checkpoint.h"
 #include "core/MeasurementStore.h"
 #include "support/Env.h"
 #include "support/FaultInjector.h"
@@ -26,6 +25,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cinttypes>
 #include <cstdio>
 #include <exception>
 
@@ -84,28 +84,16 @@ void acceptReplays(ModelKind Model, const PhaseOneResult &Pairs,
 // PhaseOneWindow
 //===----------------------------------------------------------------------===//
 
-PhaseOneWindow::PhaseOneWindow(
-    const TrainOptions &Options, std::vector<ModelKind> Models,
-    bool CountUnmatchedSeeds,
-    std::array<PhaseOneResult, NumModelKinds> Restored,
-    uint64_t Begin, uint64_t End, uint64_t Grain, uint64_t Depth,
-    bool FixedSpeculation, uint64_t CheckpointEvery, uint64_t CkptFingerprint,
-    std::string MachineName)
-    : Options(Options), Models(std::move(Models)),
-      CountUnmatchedSeeds(CountUnmatchedSeeds), Begin(Begin),
-      End(std::max(Begin, End)), Grain(std::max<uint64_t>(1, Grain)),
-      Depth(std::max<uint64_t>(1, Depth)),
-      NumRuns((this->End - Begin + this->Grain - 1) / this->Grain),
-      FixedSpeculation(FixedSpeculation), CheckpointEvery(CheckpointEvery),
-      CkptFingerprint(CkptFingerprint),
-      MachineName(std::move(MachineName)) {
+PhaseOneWindow::PhaseOneWindow(const TrainOptions &Options,
+                               const MachineConfig &Machine,
+                               std::vector<ModelKind> Models, uint64_t Grain,
+                               uint64_t Depth, bool FixedSpeculation,
+                               const MeasurementCache *Persisted)
+    : Options(Options), Machine(Machine), Models(std::move(Models)),
+      Grain(std::max<uint64_t>(1, Grain)), Depth(std::max<uint64_t>(1, Depth)),
+      NumRuns((Options.MaxSeeds + this->Grain - 1) / this->Grain),
+      FixedSpeculation(FixedSpeculation), Persisted(Persisted) {
   MutexLock Lock(M);
-  // Each restored pair incremented its family's win count exactly once.
-  Results = std::move(Restored);
-  for (unsigned I = 0; I != NumModelKinds; ++I)
-    for (const SeedBest &P : Results[I].SeedDsPairs)
-      ++WinCount[I][static_cast<unsigned>(P.BestDs)];
-  NextOffset = SavedOffset = Begin;
   if (FixedSpeculation)
     Masks.assign(this->Depth, wantedNow());
   // A scan that starts with every family full admits nothing.
@@ -147,9 +135,9 @@ bool PhaseOneWindow::claim(SeedClaim &Out) {
   if (Claimed == Admitted || (Stopped && !FixedSpeculation))
     return false;
   uint64_t Run = Claimed++;
-  uint64_t First = Begin + Run * Grain;
+  uint64_t First = Run * Grain;
   Out.BeginSeed = Options.FirstSeed + First;
-  Out.EndSeed = Options.FirstSeed + std::min(End, First + Grain);
+  Out.EndSeed = Options.FirstSeed + std::min(Options.MaxSeeds, First + Grain);
   if (FixedSpeculation) {
     // The mask as of the commit that admitted this run, not the latest
     // one: how far the merge has got by now is a matter of timing.
@@ -167,7 +155,7 @@ void PhaseOneWindow::complete(const SeedClaim &Claim,
   MutexLock Lock(M);
   if (Stopped)
     return;
-  uint64_t Run = (Claim.BeginSeed - Options.FirstSeed - Begin) / Grain;
+  uint64_t Run = (Claim.BeginSeed - Options.FirstSeed) / Grain;
   Slots.resize(static_cast<size_t>(Claim.EndSeed - Claim.BeginSeed));
   Done.emplace(Run, std::move(Slots));
   if (Run != Committed)
@@ -199,12 +187,9 @@ void PhaseOneWindow::mergeSeed(uint64_t Seed, const SeedEvalResult &Slot) {
       continue;
     }
     const SeedOutcome &O = Slot.Outcomes[I];
-    if (CountUnmatchedSeeds)
-      ++R.SeedsScanned;
     if (!O.Matched)
       continue;
-    if (!CountUnmatchedSeeds)
-      ++R.SeedsScanned;
+    ++R.SeedsScanned;
     // Footnote 2: only record clear winners, so marginal apps do not teach
     // the model noise.
     if (O.NumCandidates > 1 && O.Margin < Options.WinnerMargin) {
@@ -220,7 +205,7 @@ void PhaseOneWindow::commitReady() {
   while (!Stopped && !Done.empty() && Done.begin()->first == Committed) {
     std::vector<SeedEvalResult> Slots = std::move(Done.begin()->second);
     Done.erase(Done.begin());
-    uint64_t Offset = Begin + Committed * Grain;
+    uint64_t Offset = Committed * Grain;
     for (const SeedEvalResult &Slot : Slots) {
       mergeSeed(Options.FirstSeed + Offset, Slot);
       NextOffset = ++Offset;
@@ -238,25 +223,24 @@ void PhaseOneWindow::commitReady() {
   }
   if (Stopped)
     Done.clear();
-  Stats.SeedsCommitted = NextOffset - Begin;
-  // Commit point for resumable runs: the merge's entire state is
-  // (Results, NextOffset), and WinCount is derivable from the pairs. A
-  // failed save costs resumability, not correctness.
-  if (CheckpointEvery && (Stopped || NextOffset == End ||
-                          NextOffset - SavedOffset >= CheckpointEvery))
+  Stats.SeedsCommitted = NextOffset;
+  // A resume point (DESIGN.md §13): the merge is a pure function of the
+  // seed stream and the measurements, so a rerun replays the committed
+  // prefix from the saved cache. The phase's end saves once more after
+  // every evaluator has joined.
+  if (Persisted && NextOffset - SavedOffset >= PhaseOneSaveEvery)
     persist();
 }
 
-void PhaseOneWindow::persist() {
-  TrainCheckpoint Ck;
-  Ck.NextOffset = NextOffset;
-  Ck.Stopped = Stopped;
-  Ck.Results = Results;
+bool PhaseOneWindow::persist() {
   SavedOffset = NextOffset;
-  if (Error E = saveCheckpoint(Options.CheckpointFile, Ck, CkptFingerprint,
-                               MachineName))
-    std::fprintf(stderr, "brainy: phase I: checkpoint save failed: %s\n",
+  Error E = saveMeasurements(Options.MeasurementCacheFile, *Persisted,
+                             Options.GenConfig, Machine);
+  // A failed save costs resumability, not correctness.
+  if (E)
+    std::fprintf(stderr, "brainy: could not save measurement cache: %s\n",
                  E.message().c_str());
+  return !E;
 }
 
 void ChunkEvalService::run(PhaseOneWindow &Window) {
@@ -408,36 +392,7 @@ void TrainingFramework::evaluateClaims(PhaseOneWindow &Window) const {
 
 std::array<PhaseOneResult, NumModelKinds>
 TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
-                                bool CountUnmatchedSeeds,
                                 PhaseOneStats *Stats) const {
-  // Resumable coordination (DESIGN.md §13): restore the last saved prefix
-  // and continue from there. A missing file is the normal cold start; any
-  // other load failure is logged and also cold-starts — a checkpoint can
-  // be stale, never wrong.
-  std::array<PhaseOneResult, NumModelKinds> Restored;
-  uint64_t StartOffset = 0;
-  uint64_t CkptFingerprint = 0;
-  if (!Options.CheckpointFile.empty()) {
-    CkptFingerprint =
-        checkpointFingerprint(Options, Machine, Models, CountUnmatchedSeeds);
-    Expected<TrainCheckpoint> Ck =
-        loadCheckpoint(Options.CheckpointFile, CkptFingerprint, Machine.Name);
-    if (Ck) {
-      std::fprintf(stderr,
-                   "brainy: phase I: resumed from checkpoint at seed "
-                   "offset %llu%s\n",
-                   static_cast<unsigned long long>(Ck->NextOffset),
-                   Ck->Stopped ? " (already complete)" : "");
-      if (Ck->Stopped)
-        return std::move(Ck->Results);
-      Restored = std::move(Ck->Results);
-      StartOffset = Ck->NextOffset;
-    } else if (Ck.error().code() != ErrCode::IoError) {
-      std::fprintf(stderr, "brainy: phase I: cold start: %s\n",
-                   Ck.error().message().c_str());
-    }
-  }
-
   // Local evaluators claim one seed at a time with the latest mask, so
   // Jobs=1 is exactly the serial scan. Each extra evaluator adds
   // PhaseOneLookahead seeds of window. Remote evaluators claim wire-sized
@@ -450,24 +405,33 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
   uint64_t Width = std::max(1u, Service ? Service->width() : jobs());
   uint64_t Grain = Service ? PhaseOneChunk : 1;
   uint64_t Depth = Service ? 2 * Width : 1 + PhaseOneLookahead * (Width - 1);
-  uint64_t CheckpointEvery =
-      Options.CheckpointFile.empty() ? 0 : PhaseOneChunk * Width;
-  // The scan's share of the simulation tallies, from the cache that
-  // records its measurements.
+  // The cache that records the scan's measurements: the scan's share of
+  // its simulation tallies is reported, and with MeasurementCacheFile set
+  // it is saved as the run's resume point (DESIGN.md §13).
   const MeasurementCache *Measured =
       Service ? Service->measurements() : &Cache;
+  bool Persist = Measured && !Options.MeasurementCacheFile.empty();
   uint64_t Simulated0 = Measured ? Measured->freshMeasurements() : 0;
   uint64_t Stopped0 = Measured ? Measured->stoppedEarly() : 0;
-  PhaseOneWindow Window(Options, Models, CountUnmatchedSeeds,
-                        std::move(Restored), StartOffset, Options.MaxSeeds,
-                        Grain, Depth, /*FixedSpeculation=*/Service != nullptr,
-                        CheckpointEvery, CkptFingerprint, Machine.Name);
+  PhaseOneWindow Window(Options, Machine, Models, Grain, Depth,
+                        /*FixedSpeculation=*/Service != nullptr,
+                        Persist ? Measured : nullptr);
   if (Service)
     Service->run(Window);
   else
     pool().parallelFor(0, Width, [&](size_t) { evaluateClaims(Window); });
 
   MutexLock Lock(Window.M);
+  if (Persist) {
+    // Every evaluator has joined, so every shard is folded and every
+    // worker record merged: this save holds the whole scan.
+    size_t Saved = Window.persist() ? Measured->seeds() : 0;
+    std::fprintf(stderr,
+                 "brainy: measurement cache: loaded %zu record(s), %" PRIu64
+                 " fresh measurement(s), saved %zu record(s) to %s\n",
+                 LoadedMeasurements, Measured->freshMeasurements(), Saved,
+                 Options.MeasurementCacheFile.c_str());
+  }
   if (Stats) {
     *Stats = Window.Stats;
     if (Measured) {
@@ -480,8 +444,7 @@ TrainingFramework::phaseOneImpl(const std::vector<ModelKind> &Models,
 
 PhaseOneResult TrainingFramework::phaseOne(ModelKind Model,
                                            PhaseOneStats *Stats) const {
-  return std::move(phaseOneImpl({Model}, /*CountUnmatchedSeeds=*/true,
-                                Stats)[static_cast<unsigned>(Model)]);
+  return std::move(phaseOneImpl({Model}, Stats)[static_cast<unsigned>(Model)]);
 }
 
 std::array<PhaseOneResult, NumModelKinds>
@@ -490,7 +453,7 @@ TrainingFramework::phaseOneAll(PhaseOneStats *Stats) const {
   Models.reserve(NumModelKinds);
   for (unsigned M = 0; M != NumModelKinds; ++M)
     Models.push_back(static_cast<ModelKind>(M));
-  return phaseOneImpl(Models, /*CountUnmatchedSeeds=*/false, Stats);
+  return phaseOneImpl(Models, Stats);
 }
 
 std::vector<TrainExample>

@@ -39,10 +39,18 @@
 namespace brainy {
 
 /// Seeds per distributed Phase I chunk — the unit a dist::Coordinator
-/// sends over the wire (DESIGN.md §10) — and per checkpoint save per
-/// evaluator. Purely a scheduling knob: results are identical for any
-/// value, it only balances claim overhead against tail waste.
+/// sends over the wire (DESIGN.md §10). Purely a scheduling knob: results
+/// are identical for any value, it only balances claim overhead against
+/// tail waste.
 constexpr uint64_t PhaseOneChunk = 16;
+
+/// Committed seeds between two saves of TrainOptions::MeasurementCacheFile
+/// during Phase I, the resume points of a killed run (DESIGN.md §13). A
+/// save writes the whole cache under the window's lock (11-13 ms for 8000
+/// records), so saves stay rare: about 8 in a default run. A resume then
+/// re-simulates about this many seeds' work at most. Like PhaseOneChunk,
+/// results are identical for any value.
+constexpr uint64_t PhaseOneSaveEvery = 1024;
 
 /// Seeds of window each local Phase I evaluator beyond the first adds
 /// (DESIGN.md §7). A single seed can cost a hundred times its neighbours
@@ -135,10 +143,11 @@ public:
   /// per worker, each claiming its next chunk as soon as it is free.
   virtual void run(PhaseOneWindow &Window);
 
-  /// The measurement cache this service accumulated while evaluating, or
-  /// null if it keeps none. Brainy::train folds it into the framework's
-  /// cache before persisting measurements, so a distributed run saves the
-  /// same records a local one would.
+  /// The measurement cache that records this service's evaluations, or
+  /// null if it keeps none. The framework reports the scan's simulations
+  /// from it and, when TrainOptions::MeasurementCacheFile is set, saves it
+  /// to that file (DESIGN.md §13), so a distributed run saves the same
+  /// records a local one would.
   virtual const MeasurementCache *measurements() const { return nullptr; }
 };
 
@@ -185,18 +194,14 @@ struct TrainOptions {
   /// When non-empty, the persistent measurement cache (DESIGN.md §12):
   /// Phase I cycle measurements are preloaded from this file at framework
   /// construction (and by a distributed Coordinator into its served cache)
-  /// and written back after training. Measurements are pure, so a warm
-  /// cache skips simulation without changing a single bundle byte; a file
-  /// recorded under a different generator config or machine is rejected by
-  /// fingerprint and ignored.
+  /// and saved back from the cache that records the scan every
+  /// PhaseOneSaveEvery committed seeds and when Phase I ends. Measurements
+  /// are pure, so a warm cache skips simulation without changing a single
+  /// bundle byte, and a killed run rerun with the same file replays its
+  /// merged prefix from it (DESIGN.md §13). A file recorded under a
+  /// different generator config or machine is rejected by fingerprint and
+  /// ignored.
   std::string MeasurementCacheFile;
-  /// When non-empty, resumable Phase I (DESIGN.md §13): the merged prefix
-  /// is persisted to this file (`brainy-ckpt v1`, atomic write) every
-  /// PhaseOneChunk * width seeds and when the scan ends, and a restarted
-  /// run resumes from the last saved offset with a byte-identical final
-  /// bundle. A corrupt or config-mismatched file is rejected wholesale and
-  /// the run cold-starts; a checkpoint can never make a bundle wrong.
-  std::string CheckpointFile;
   /// Network hyperparameters for the final model.
   NetConfig Net;
 };
@@ -210,7 +215,8 @@ struct SeedBest {
 /// Phase I result for one model family.
 struct PhaseOneResult {
   std::vector<SeedBest> SeedDsPairs;
-  /// Seeds consumed (matching and non-matching apps both count).
+  /// Seeds whose app belongs to this family, raced while the family still
+  /// wanted winners: each one is a recorded pair or a margin reject.
   uint64_t SeedsScanned = 0;
   /// Apps whose winner failed the 5% margin (discarded).
   uint64_t MarginRejects = 0;
@@ -271,17 +277,15 @@ private:
   friend class TrainingFramework;
   using WantedMask = std::array<bool, NumModelKinds>;
 
-  /// Scans seed offsets [Begin, End) (relative to Options.FirstSeed) in
-  /// runs of \p Grain, continuing from \p Restored; \p FixedSpeculation
-  /// selects the fixed mode. A non-zero \p CheckpointEvery saves a
-  /// checkpoint each time that many more seeds are committed, and when the
-  /// scan ends.
-  PhaseOneWindow(const TrainOptions &Options, std::vector<ModelKind> Models,
-                 bool CountUnmatchedSeeds,
-                 std::array<PhaseOneResult, NumModelKinds> Restored,
-                 uint64_t Begin, uint64_t End, uint64_t Grain, uint64_t Depth,
-                 bool FixedSpeculation, uint64_t CheckpointEvery,
-                 uint64_t CkptFingerprint, std::string MachineName);
+  /// Scans seed offsets [0, Options.MaxSeeds) (relative to
+  /// Options.FirstSeed) in runs of \p Grain; \p FixedSpeculation selects
+  /// the fixed mode. A non-null \p Persisted is saved to
+  /// Options.MeasurementCacheFile each time PhaseOneSaveEvery more seeds
+  /// are committed.
+  PhaseOneWindow(const TrainOptions &Options, const MachineConfig &Machine,
+                 std::vector<ModelKind> Models, uint64_t Grain,
+                 uint64_t Depth, bool FixedSpeculation,
+                 const MeasurementCache *Persisted);
 
   bool modelFull(ModelKind Model) const BRAINY_REQUIRES(M);
   bool allFull() const BRAINY_REQUIRES(M);
@@ -290,16 +294,17 @@ private:
       BRAINY_REQUIRES(M);
   /// Merges completed runs in order from the commit point.
   void commitReady() BRAINY_REQUIRES(M);
-  /// Saves the merged prefix to Options.CheckpointFile.
-  void persist() BRAINY_REQUIRES(M);
+  /// The one save site of Options.MeasurementCacheFile: saves Persisted,
+  /// logs a failure, and returns whether the save landed. Lock order: M,
+  /// then the cache's own mutex, which no path holds while it takes M.
+  bool persist() BRAINY_REQUIRES(M);
 
   const TrainOptions &Options;
+  const MachineConfig &Machine;
   const std::vector<ModelKind> Models;
-  const bool CountUnmatchedSeeds;
-  const uint64_t Begin, End, Grain, Depth, NumRuns;
+  const uint64_t Grain, Depth, NumRuns;
   const bool FixedSpeculation;
-  const uint64_t CheckpointEvery, CkptFingerprint;
-  const std::string MachineName;
+  const MeasurementCache *const Persisted;
 
   Mutex M;
   ConditionVariable Cv;
@@ -314,7 +319,7 @@ private:
   /// Every family is full: nothing more is committed.
   bool Stopped BRAINY_GUARDED_BY(M) = false;
   /// Seed offset just past the last consumed seed, and where it stood at
-  /// the last checkpoint save.
+  /// the last save.
   uint64_t NextOffset BRAINY_GUARDED_BY(M) = 0;
   uint64_t SavedOffset BRAINY_GUARDED_BY(M) = 0;
   /// Completed runs waiting for their predecessors, by run index.
@@ -381,10 +386,8 @@ public:
   /// guarded by PoolMutex, so first use may come from any thread.
   ThreadPool &pool() const;
 
-  /// The shared (seed, kind) -> cycles memo (exposed for tests/benches,
-  /// and — non-const — for Brainy::train to fold in a fleet's records).
+  /// The shared (seed, kind) -> cycles memo (exposed for tests/benches).
   const MeasurementCache &measurements() const { return Cache; }
-  MeasurementCache &measurements() { return Cache; }
 
   /// Records restored into Cache from Options.MeasurementCacheFile at
   /// construction (0 when unset, missing, or rejected).
@@ -422,7 +425,7 @@ private:
   profileAccepted(const std::vector<Replay> &Accepted) const;
 
   std::array<PhaseOneResult, NumModelKinds>
-  phaseOneImpl(const std::vector<ModelKind> &Models, bool CountUnmatchedSeeds,
+  phaseOneImpl(const std::vector<ModelKind> &Models,
                PhaseOneStats *Stats) const;
 
   TrainOptions Options;

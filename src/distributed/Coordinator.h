@@ -109,9 +109,8 @@ public:
   /// The shared measurement cache sent to workers (exposed for tests).
   const MeasurementCache &cache() const { return Cache; }
 
-  /// Brainy::train folds these records into the framework's own cache
-  /// before persisting, so a distributed run's cache file is as complete
-  /// as a local one.
+  /// The framework saves this cache to the run's measurement cache file,
+  /// so a distributed run's file is as complete as a local one.
   const MeasurementCache *measurements() const override { return &Cache; }
 
   /// Consecutive launcher failures before a slot is declared dead for the

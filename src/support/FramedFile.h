@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The one on-disk layout every Brainy store shares — model bundles
-/// (`brainy-bundle v2`), the measurement cache (`brainy-mcache v2`; v1
-/// files still load) and Phase I checkpoints (`brainy-ckpt v1`):
+/// (`brainy-bundle v2`) and the measurement cache (`brainy-mcache v2`; v1
+/// files still load):
 ///
 ///   MAGIC VERSION
 ///   key value                             one line per header field

@@ -360,6 +360,9 @@ TEST(TrainingFrameworkTest, PhaseOneAllMatchesPerModelPhaseOne) {
   for (ModelKind MK : {ModelKind::Vector, ModelKind::Map}) {
     PhaseOneResult Single = FW.phaseOne(MK);
     const PhaseOneResult &Shared = All[static_cast<unsigned>(MK)];
+    EXPECT_EQ(Shared.SeedsScanned, Single.SeedsScanned);
+    EXPECT_EQ(Shared.MarginRejects, Single.MarginRejects);
+    EXPECT_EQ(Shared.SkippedSeeds, Single.SkippedSeeds);
     ASSERT_EQ(Shared.SeedDsPairs.size(), Single.SeedDsPairs.size());
     for (size_t I = 0; I != Single.SeedDsPairs.size(); ++I) {
       EXPECT_EQ(Shared.SeedDsPairs[I].Seed, Single.SeedDsPairs[I].Seed);

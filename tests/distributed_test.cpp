@@ -24,13 +24,11 @@
 //    the same ExcludeSeeds equivalence as local loss;
 //  * injected transport faults (BRAINY_FAULT=net:...) are deterministic
 //    across worker counts;
-//  * a coordinator restarted from a checkpoint — even with a different
-//    fleet shape — produces identical results.
+//  * a coordinator restarted with the killed run's measurement cache —
+//    even with a different fleet shape — produces identical results.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Checkpoint.h"
-#include "core/MeasurementStore.h"
 #include "distributed/Coordinator.h"
 #include "distributed/Launch.h"
 #include "distributed/Tcp.h"
@@ -651,12 +649,12 @@ TEST(DistributedTrainingTest, WarmMeasurementCacheSkipsWorkerSimulation) {
   std::remove(Path.c_str());
 
   // Cold distributed run: the workers measure everything (the coordinator
-  // cache counts each record they stream back as fresh), then the
-  // coordinator's cache — which holds every chunk's measurements — is
-  // persisted. The cold run must use the same worker count as the warm
-  // one: the fleet's width sets how stale a chunk's Wanted mask may be and
-  // how far past the early stop the window speculates, so only a
-  // same-shape rerun is guaranteed to find every measurement on disk.
+  // cache counts each record they stream back as fresh), and the framework
+  // saves the coordinator's cache, which holds every chunk's measurements.
+  // The cold run must use the same worker count as the warm one: the
+  // fleet's width sets how stale a chunk's Wanted mask may be and how far
+  // past the early stop the window speculates, so only a same-shape rerun
+  // is guaranteed to find every measurement on disk.
   TrainOptions Opts = tinyOptions();
   Opts.MeasurementCacheFile = Path;
   ResultArray Want;
@@ -668,8 +666,6 @@ TEST(DistributedTrainingTest, WarmMeasurementCacheSkipsWorkerSimulation) {
     Want = FW.phaseOneAll();
     EXPECT_GT(Cold.cache().freshMeasurements(), 0u)
         << "cold workers measured nothing";
-    Error E = saveMeasurements(Path, Cold.cache(), Opts.GenConfig, MC);
-    ASSERT_FALSE(E) << E.message();
   }
 
   // Warm distributed run: the coordinator preloads the file, every chunk
@@ -921,36 +917,37 @@ TEST(TcpFleetTest, NetFaultsAreDeterministicAcrossWorkerCounts) {
   expectSameResults(Runs[0], Clean.phaseOneAll());
 }
 
-TEST(TcpFleetTest, CheckpointResumeAcrossFleetShapesMatchesUninterrupted) {
+TEST(TcpFleetTest, CacheResumeAcrossFleetShapesMatchesUninterrupted) {
   MachineConfig MC = MachineConfig::core2();
-  std::string Path = ::testing::TempDir() + "brainy_tcp_ckpt.txt";
+  std::string Path = ::testing::TempDir() + "brainy_tcp_resume.txt";
   std::remove(Path.c_str());
 
   TrainingFramework Serial(tinyOptions(), MC);
   ResultArray Want = Serial.phaseOneAll();
 
-  // "Kill" a fleet run mid-stream: cap MaxSeeds at four chunks. The
-  // checkpoint fingerprint deliberately excludes the seed budget, so the
-  // saved prefix is a valid resume point for the full run.
+  // "Kill" a fleet run mid-stream: cap MaxSeeds at four chunks. The cache
+  // fingerprint covers only the generator and the machine, so the
+  // measurements the partial run saved serve the full run.
   {
     TcpTestFleet Fleet(2);
     TrainOptions Opts = tinyOptions();
     Opts.MaxSeeds = 64;
-    Opts.CheckpointFile = Path;
+    Opts.MeasurementCacheFile = Path;
     Coordinator Coord(MC, Opts, 2, tcpLauncher(Fleet.Endpoints));
     Opts.Distribution = &Coord;
     TrainingFramework FW(Opts, MC);
     (void)FW.phaseOneAll();
   }
 
-  // The restart may change fleet shape — the ordered merge is
-  // partition-independent, so resuming 2-wide work on a 3-wide fleet
-  // still reproduces the uninterrupted results bit-for-bit.
+  // The restart may change fleet shape: the ordered merge replays the
+  // 2-wide prefix from the cache on a 3-wide fleet and still reproduces
+  // the uninterrupted results bit-for-bit.
   {
     TcpTestFleet Fleet(3);
     TrainOptions Opts = tinyOptions();
-    Opts.CheckpointFile = Path;
+    Opts.MeasurementCacheFile = Path;
     Coordinator Coord(MC, Opts, 3, tcpLauncher(Fleet.Endpoints));
+    EXPECT_GT(Coord.cache().seeds(), 0u) << "the resume loaded nothing";
     Opts.Distribution = &Coord;
     TrainingFramework FW(Opts, MC);
     expectSameResults(Want, FW.phaseOneAll());
@@ -978,8 +975,6 @@ TEST(TcpFleetTest, WarmMeasurementCacheOverTcpSkipsAllSimulation) {
     Want = FW.phaseOneAll();
     EXPECT_GT(Cold.cache().freshMeasurements(), 0u)
         << "cold TCP workers measured nothing";
-    Error E = saveMeasurements(Path, Cold.cache(), Opts.GenConfig, MC);
-    ASSERT_FALSE(E) << E.message();
   }
 
   TcpTestFleet Fleet(3);

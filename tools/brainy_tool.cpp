@@ -160,7 +160,7 @@ int usage() {
       "  appgen --seed N [--ds KIND] [--config FILE] [-o FILE]\n"
       "  train --machine core2|atom -o MODELS [--target N] [--seeds N]\n"
       "        [--config FILE] [--jobs N] [--workers N|HOST:PORT,...]\n"
-      "        [--measurement-cache FILE] [--checkpoint FILE]\n"
+      "        [--measurement-cache FILE]\n"
       "  worker --listen HOST:PORT\n"
       "  trainset --machine core2|atom --model FAMILY -o FILE\n"
       "           [--target N] [--seeds N] [--config FILE] [--jobs N]\n"
@@ -284,11 +284,10 @@ int cmdTrain(const Args &A, const std::string &ExePath) {
   Opts.Jobs = A.getInt<unsigned>("jobs", 0);
   // Set before the Coordinator is built: the coordinator preloads the
   // same file so warm distributed runs skip worker-side simulation too.
+  // Phase I saves it as it goes, so a killed run rerun with the same flags
+  // replays its merged prefix from it and emits a byte-identical bundle
+  // (DESIGN.md §13).
   Opts.MeasurementCacheFile = A.get("measurement-cache");
-  // Resumable Phase I (DESIGN.md §13): the merged prefix is committed to
-  // this file as the scan advances; a killed run rerun with the same flags
-  // resumes from the last saved offset and emits a byte-identical bundle.
-  Opts.CheckpointFile = A.get("checkpoint");
   // --workers N shards over local `brainy worker` subprocesses;
   // --workers host:port,... connects to a fleet of `brainy worker
   // --listen` processes, one slot per endpoint (DESIGN.md §13).
@@ -766,7 +765,7 @@ int main(int Argc, char **Argv) {
     Known = {"seed", "ds", "config", "out"};
   else if (Cmd == "train")
     Known = {"machine", "out", "target", "seeds", "config", "jobs",
-             "workers", "measurement-cache", "checkpoint"};
+             "workers", "measurement-cache"};
   else if (Cmd == "trainset")
     Known = {"machine", "model", "out", "target", "seeds", "config", "jobs"};
   else if (Cmd == "eval")
