@@ -50,6 +50,9 @@ void BM_BranchPredictor(benchmark::State &State) {
 BENCHMARK(BM_BranchPredictor);
 
 void BM_MachineModelAccess(benchmark::State &State) {
+  // Random 8-byte touches over 8 MB through onAccess, the entry point
+  // every container emitter calls: the miss path of the production
+  // simulator.
   MachineModel M(MachineConfig::core2());
   uint64_t Lcg = 1;
   for (auto _ : State) {
@@ -61,29 +64,11 @@ void BM_MachineModelAccess(benchmark::State &State) {
 }
 BENCHMARK(BM_MachineModelAccess);
 
-void BM_MachineModelBatch(benchmark::State &State) {
-  // The production delivery path: the same address stream as
-  // BM_MachineModelAccess, but appended as encoded records and drained
-  // through the batch kernel (what containers wired to a MachineModel do)
-  // instead of one per-event entry-point call each.
-  MachineModel M(MachineConfig::core2());
-  EventBuffer *Buf = M.eventBuffer();
-  uint64_t Lcg = 1;
-  for (auto _ : State) {
-    Lcg = Lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    Buf->access((Lcg >> 16) % (8 << 20), 8);
-  }
-  M.flushEvents();
-  benchmark::DoNotOptimize(M.cycles());
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_MachineModelBatch);
-
 void BM_MachineModelStream(benchmark::State &State) {
-  // Sequential 8-byte element reads over a 32 KB window — the dominant
-  // access pattern a contiguous-container scan emits, and the pattern the
-  // repeat-block fast path targets: 7 of 8 accesses re-touch the previous
-  // cache block.
+  // Sequential 8-byte element reads over a 32 KB window through onAccess,
+  // as a contiguous-container scan emits them — the dominant production
+  // pattern, and the one the repeat-block fast path targets: 7 of 8
+  // accesses re-touch the previous cache block.
   MachineModel M(MachineConfig::core2());
   uint64_t N = 0;
   for (auto _ : State) {
@@ -94,23 +79,6 @@ void BM_MachineModelStream(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_MachineModelStream);
-
-void BM_MachineModelStreamBatch(benchmark::State &State) {
-  // The same scan delivered the way containers deliver it: encoded
-  // records drained through the batch kernel, where repeat-block runs
-  // coalesce to O(1) integer updates.
-  MachineModel M(MachineConfig::core2());
-  EventBuffer *Buf = M.eventBuffer();
-  uint64_t N = 0;
-  for (auto _ : State) {
-    Buf->access(0x100000000ULL + (N % 4096) * 8, 8);
-    ++N;
-  }
-  M.flushEvents();
-  benchmark::DoNotOptimize(M.cycles());
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_MachineModelStreamBatch);
 
 void BM_RunSyntheticApp(benchmark::State &State) {
   AppConfig Gen;

@@ -3,13 +3,13 @@
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 // Recommendations/second of a live `brainy serve` pipeline (DESIGN.md
-// §15) at 1/2/4/8 client threads, in both serving architectures:
+// §15) at 1/2/4/8 client threads, at two dispatch sizes:
 //
-//  * batched   — handlers enqueue whole pipelined groups, the dispatcher
-//    coalesces groups across connections up to MaxBatch, and each
-//    (arch, model) bucket is one matrix–matrix forward pass;
-//  * unbatched — the per-example baseline: every query is dispatched and
-//    answered individually through the scalar forward pass.
+//  * batched   — MaxBatch 256: handlers enqueue whole pipelined groups,
+//    the dispatcher coalesces groups across connections up to MaxBatch,
+//    and each (arch, model) bucket is one matrix–matrix forward pass;
+//  * unbatched — MaxBatch 1, the per-example baseline: every query is
+//    its own dispatch and its own one-row forward pass.
 //
 // Clients drive real TCP connections with pipelined request groups, so
 // the rows price the full path: socket framing, parsing, batch assembly,
@@ -17,8 +17,8 @@
 // synthetic constant-prediction bundle at the production net width
 // (NetConfig::HiddenUnits), so the forward pass costs what a trained
 // bundle's does while the whole bench stays deterministic and instant to
-// set up. Answers are byte-identical between the two architectures — the
-// speedup column is the only difference.
+// set up. Answers are byte-identical at both sizes — the speedup column
+// is the only difference.
 //
 // --json <path> writes the rows in the stable brainy-bench-v1 schema
 // consumed by tools/check_bench_regression.py (BENCH_serving.json).
@@ -75,16 +75,16 @@ struct Row {
   double Qps = 0;
 };
 
-/// Serves \p Total queries split over \p Clients threads against a fresh
-/// server in the given mode; returns the wall time of the client phase.
+/// Serves \p PerClient queries on each of \p Clients threads against a
+/// fresh server that dispatches at most \p MaxBatch queries at a time;
+/// returns the wall time of the client phase.
 double runConfig(const std::string &BundlePath, unsigned Clients,
-                 bool Batched, size_t PerClient,
+                 unsigned MaxBatch, size_t PerClient,
                  const std::vector<std::string> &RequestGroups) {
   ServeOptions Opts;
   Opts.ModelPaths = {BundlePath};
   Opts.ConnWorkers = 8;
-  Opts.MaxBatch = 256;
-  Opts.Batched = Batched;
+  Opts.MaxBatch = MaxBatch;
   RecommendServer Server(Opts);
   if (Error E = Server.start()) {
     std::fprintf(stderr, "micro_serving: %s\n", E.message().c_str());
@@ -198,8 +198,8 @@ int main(int argc, char **argv) {
   for (unsigned Clients : {1u, 2u, 4u, 8u}) {
     double UnbatchedMs = 0;
     for (bool Batched : {false, true}) {
-      double Ms = runConfig(BundlePath, Clients, Batched, PerClient,
-                            RequestGroups);
+      double Ms = runConfig(BundlePath, Clients, Batched ? 256 : 1,
+                            PerClient, RequestGroups);
       double Qps = static_cast<double>(Clients) *
                    static_cast<double>(PerClient) / (Ms / 1e3);
       Row R{std::string(Batched ? "batched" : "unbatched") + "_c" +

@@ -47,11 +47,9 @@ public:
   }
 
 private:
-  /// The between-calls cap check: reads the drained count only, so it
-  /// costs a load and a compare, and lags by at most one buffer.
-  bool ruledOut() const {
-    return Cap && Cap->rulesOut(Model.drainedCycles());
-  }
+  /// The between-calls cap check: the model's exact count so far, one
+  /// load and a compare.
+  bool ruledOut() const { return Cap && Cap->rulesOut(Model.cycles()); }
 
   bool prepopulate() {
     for (uint64_t I = 0; I != Spec.InitialSize; ++I) {

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Common machinery for the instrumentable containers: the optional
-/// MachineModel event buffer, the optional OpListener, a per-container
+/// MachineModel, the optional OpListener, a per-container
 /// SimAllocator heap region, and the simulated element size. The containers
 /// store real 64-bit keys and run the real algorithms; the *simulated*
 /// layout (what the cache model sees) treats each element as DataElemSize
@@ -71,8 +71,8 @@ struct OpResult {
 
 /// Base class holding instrumentation state shared by all containers.
 ///
-/// With a MachineModel attached, every emitter appends an encoded record to
-/// the model's EventBuffer — the training inner loop's hot path. Without
+/// With a MachineModel attached, every emitter calls the model's matching
+/// per-event entry point — the training inner loop's hot path. Without
 /// one, the emitters do nothing.
 class ContainerBase {
 public:
@@ -81,7 +81,7 @@ public:
   /// \p HeapBase start of this container's simulated heap region.
   ContainerBase(uint32_t ElemBytes, MachineModel *Model, uint64_t HeapBase)
       : Elem(ElemBytes < 8 ? 8 : ElemBytes),
-        Buf(Model ? Model->eventBuffer() : nullptr), Alloc(HeapBase) {}
+        Model(Model), Alloc(HeapBase) {}
 
   /// Registers \p Listener to receive one ContainerOp record per interface
   /// call (the software-feature profile). Null disables op recording.
@@ -102,35 +102,35 @@ public:
 
 protected:
   void note(uint64_t Addr, uint32_t Bytes) {
-    if (Buf)
-      Buf->access(Addr, Bytes);
+    if (Model)
+      Model->onAccess(Addr, Bytes);
   }
 
   void branch(BranchSite Site, bool Taken) {
-    if (Buf)
-      Buf->branch(Site, Taken);
+    if (Model)
+      Model->onBranch(Site, Taken);
   }
 
   void work(uint64_t Instructions) {
-    if (Buf)
-      Buf->instructions(Instructions);
+    if (Model)
+      Model->onInstructions(Instructions);
   }
 
   uint64_t allocSim(uint64_t Bytes) {
     uint64_t Addr = Alloc.allocate(Bytes);
-    if (Buf)
-      Buf->alloc(Bytes);
+    if (Model)
+      Model->onAlloc(Bytes);
     return Addr;
   }
 
   void freeSim(uint64_t Addr, uint64_t Bytes) {
     Alloc.release(Addr, Bytes);
-    if (Buf)
-      Buf->free(Bytes);
+    if (Model)
+      Model->onFree(Bytes);
   }
 
   uint32_t Elem;
-  EventBuffer *Buf;          ///< The model's buffer; null = no events.
+  MachineModel *Model;       ///< Receives the events; null = no events.
   OpListener *Profile = nullptr;
   SimAllocator Alloc;
 };

@@ -116,6 +116,8 @@ void TcpTransport::writeAll(const void *Data, size_t Size) {
   }
 }
 
+void TcpTransport::shutdownWrite() { ::shutdown(SocketFd, SHUT_WR); }
+
 std::unique_ptr<TcpTransport> TcpTransport::connectTo(const TcpEndpoint &Ep,
                                                       int TimeoutMs) {
   AddrList List;

@@ -64,6 +64,11 @@ public:
 
   void writeAll(const void *Data, size_t Size) override;
 
+  /// Half-closes the connection: the peer reads end-of-stream after every
+  /// byte written so far, even if this side then closes with input unread
+  /// (which resets the connection). Best-effort.
+  void shutdownWrite();
+
   /// Connects to \p Ep, waiting up to \p TimeoutMs for the handshake
   /// (negative = OS default). Throws ErrorException(IoError) on
   /// resolution failure, refusal, or timeout.

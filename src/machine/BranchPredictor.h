@@ -17,13 +17,27 @@
 #ifndef BRAINY_MACHINE_BRANCHPREDICTOR_H
 #define BRAINY_MACHINE_BRANCHPREDICTOR_H
 
-#include "machine/EventBuffer.h"
-
 #include <array>
 #include <cassert>
 #include <cstdint>
 
 namespace brainy {
+
+/// Identifies a static conditional-branch site inside a container
+/// implementation. Sites are stable small integers so a bimodal predictor
+/// table can be indexed by them, mirroring per-PC prediction.
+enum class BranchSite : uint32_t {
+  VectorResizeCheck,   ///< capacity check on vector/deque insertion
+  VectorShiftLoop,     ///< element-move loop bound on mid insertion/erase
+  ListWalkLoop,        ///< node-walk loop continuation
+  TreeCompareLeft,     ///< BST descent: go left?
+  TreeRebalance,       ///< rotation-needed check (RB recolour / AVL rotate)
+  HashBucketWalk,      ///< chained-bucket walk continuation
+  HashResizeCheck,     ///< load-factor check on hash insertion
+  SearchHit,           ///< did the current element match the probe key?
+  IterContinue,        ///< generic iteration continuation
+  NumSites
+};
 
 /// Bimodal 2-bit predictor with one counter per BranchSite.
 class BranchPredictor {
@@ -32,7 +46,7 @@ public:
 
   /// Predicts, updates the counter with the actual \p Taken outcome, and
   /// returns true when the prediction was wrong. Inline: this runs once per
-  /// decoded branch record in MachineModel's batch-drain kernel.
+  /// container branch event, inside MachineModel::onBranch.
   bool observe(BranchSite Site, bool Taken) {
     auto Index = static_cast<uint32_t>(Site);
     assert(Index < NumSites && "invalid branch site");

@@ -12,9 +12,9 @@
 ///
 /// The state is laid out structure-of-arrays (parallel Tags[] / LastUse[]
 /// vectors instead of an array of Way structs) and the probe loop lives in
-/// the header: the batch-drain kernel in MachineModel executes one probe
-/// per decoded access record, and the SoA layout lets the tag scan touch
-/// one contiguous 8-entry run per array instead of strided struct fields.
+/// the header: MachineModel::onAccess executes one probe per container
+/// memory touch, and the SoA layout lets the tag scan touch one contiguous
+/// 8-entry run per array instead of strided struct fields.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,20 +118,6 @@ public:
     ++Clock;
     LastUse[Slot] = Clock;
     ++Hits;
-  }
-
-  /// \p Count back-to-back touchSlot(Slot) calls collapsed to O(1): only
-  /// the final LRU stamp survives Count consecutive overwrites, so the end
-  /// state is reached by one store. The batch drain kernel uses this to
-  /// coalesce runs of repeat-block access records — a rewrite only the
-  /// buffered representation permits, since a per-event interface never
-  /// sees the run.
-  void touchSlotRun(uint64_t Slot, uint64_t Count) {
-    assert(Slot < LastUse.size() && LastUse[Slot] != 0 &&
-           "touchSlotRun caller lost track of the MRU block");
-    Clock += Count;
-    LastUse[Slot] = Clock;
-    Hits += Count;
   }
 
   /// Looks up every block overlapped by [Addr, Addr+Bytes).

@@ -6,17 +6,7 @@
 
 #include "machine/MachineModel.h"
 
-#include <cassert>
-
 using namespace brainy;
-
-void EventBuffer::flush() {
-  if (Size == 0)
-    return;
-  size_t N = Size;
-  Size = 0; // Reset first: the drain must see a quiescent buffer.
-  Owner.onBatch(Words.data(), N);
-}
 
 MachineConfig MachineConfig::core2() {
   MachineConfig Cfg;
@@ -57,79 +47,9 @@ MachineConfig MachineConfig::atom() {
 
 MachineModel::MachineModel(MachineConfig Config)
     : Cfg(std::move(Config)), L1(Cfg.L1), L2(Cfg.L2),
-      L1BlockShift(L1.blockShift()), Events(*this) {}
-
-void MachineModel::onBatch(const uint64_t *Words, size_t Count) {
-  // Fused decode + simulate: one switch per record, step functions inlined.
-  // Record order is append order, so this charges exactly the cycles the
-  // per-event entry points would have.
-  for (size_t I = 0; I < Count;) {
-    uint64_t W0 = Words[I];
-    switch (W0 & event::KindMask) {
-    case event::Access: {
-      // Run coalescing: a maximal run of consecutive access records that
-      // all repeat LastBlock (think memmove loops re-reading one cache
-      // line) collapses to O(1) integer effects — touchSlotRun — plus the
-      // run's StreamHitCycles charges. The doubles are added one-by-one in
-      // record order into a register-local accumulator, so rounding is
-      // identical to the per-event path; only the per-event member
-      // round-trips disappear. A per-event interface can never see the
-      // run; this rewrite exists because the batch representation does.
-      if (LastL1Slot != InvalidSlot) {
-        uint32_t Shift = L1BlockShift;
-        double C = Cycles;
-        size_t J = I;
-        while (J < Count && (Words[J] & event::KindMask) == event::Access) {
-          uint64_t A = Words[J + 1];
-          uint32_t B = static_cast<uint32_t>(Words[J] >> event::PayloadShift);
-          if (B == 0)
-            B = 1;
-          if ((A >> Shift) != LastBlock ||
-              ((A + B - 1) >> Shift) != LastBlock)
-            break;
-          C += Cfg.StreamHitCycles;
-          J += 2;
-        }
-        if (J != I) {
-          Cycles = C;
-          L1.touchSlotRun(LastL1Slot, (J - I) / 2);
-          I = J;
-          break;
-        }
-      }
-      stepAccess(Words[I + 1],
-                 static_cast<uint32_t>(W0 >> event::PayloadShift));
-      I += 2;
-      break;
-    }
-    case event::Branch:
-      stepBranch(static_cast<BranchSite>(
-                     static_cast<uint32_t>(W0 >> event::PayloadShift)),
-                 (W0 & event::FlagBit) != 0);
-      ++I;
-      break;
-    case event::Instr:
-      stepInstructions(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    case event::Alloc:
-      stepAlloc(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    case event::Free:
-      stepFree(W0 >> event::PayloadShift);
-      ++I;
-      break;
-    default:
-      assert(false && "corrupt event record");
-      ++I;
-      break;
-    }
-  }
-}
+      L1BlockShift(L1.blockShift()) {}
 
 HardwareCounters MachineModel::counters() const {
-  drainPending();
   HardwareCounters C;
   C.Instructions = Instructions;
   C.L1Accesses = L1.accesses();
@@ -145,7 +65,6 @@ HardwareCounters MachineModel::counters() const {
 }
 
 void MachineModel::reset() {
-  drainPending();
   L1.reset();
   L2.reset();
   Predictor.reset();

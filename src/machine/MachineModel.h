@@ -24,7 +24,6 @@
 
 #include "machine/BranchPredictor.h"
 #include "machine/CacheSim.h"
-#include "machine/EventBuffer.h"
 
 #include <string>
 
@@ -99,85 +98,25 @@ struct HardwareCounters {
 
 /// Accumulates cycles and counters for one simulated microarchitecture.
 ///
-/// The model owns an EventBuffer: containers wired to it append encoded
-/// records and onBatch replays them through the same inline step functions
-/// the per-event entry points use, so batched and direct delivery are
-/// bit-identical by construction. The per-event entry points are the
-/// reference the drain is tested against. Every accessor
-/// (counters/cycles/seconds) and every per-event entry point drains pending
-/// records first, preserving global event order even when direct calls and
-/// buffered appends mix.
+/// Containers wired to a model call its per-event entry points directly,
+/// one inline call per event (DESIGN.md §12), and keep its address for
+/// their whole life: the model is neither copyable nor movable, and must
+/// outlive every container that reports to it.
 class MachineModel {
 public:
   explicit MachineModel(MachineConfig Config);
 
+  MachineModel(const MachineModel &) = delete;
+  MachineModel &operator=(const MachineModel &) = delete;
+  MachineModel(MachineModel &&) = delete;
+  MachineModel &operator=(MachineModel &&) = delete;
+
   /// A data-memory touch of \p Bytes starting at simulated address \p Addr.
   void onAccess(uint64_t Addr, uint32_t Bytes) {
-    drainPending();
-    stepAccess(Addr, Bytes);
-  }
-  /// A data-dependent conditional branch at \p Site resolving to \p Taken.
-  void onBranch(BranchSite Site, bool Taken) {
-    drainPending();
-    stepBranch(Site, Taken);
-  }
-  /// \p Count instructions of straight-line work (no memory/branch effects).
-  void onInstructions(uint64_t Count) {
-    drainPending();
-    stepInstructions(Count);
-  }
-  /// A heap allocation of \p Bytes (allocator bookkeeping cost).
-  void onAlloc(uint64_t Bytes) {
-    drainPending();
-    stepAlloc(Bytes);
-  }
-  /// A heap release of \p Bytes.
-  void onFree(uint64_t Bytes) {
-    drainPending();
-    stepFree(Bytes);
-  }
-
-  /// The batch-drain kernel: decodes \p Count encoded words and replays
-  /// them through the inline step functions.
-  void onBatch(const uint64_t *Words, size_t Count);
-
-  /// The buffer containers append to.
-  EventBuffer *eventBuffer() { return &Events; }
-  void flushEvents() { Events.flush(); }
-
-  /// Snapshot of all counters since the last reset(). Drains pending
-  /// buffered events first.
-  HardwareCounters counters() const;
-
-  double cycles() const {
-    drainPending();
-    return Cycles;
-  }
-  /// The cycles of the records drained so far, without draining: a lower
-  /// bound on cycles() that costs one load (Phase I's cap check).
-  double drainedCycles() const { return Cycles; }
-  /// Nominal wall time implied by the cycle count and configured clock.
-  double seconds() const { return cycles() / (Cfg.ClockGhz * 1e9); }
-
-  const MachineConfig &config() const { return Cfg; }
-
-  /// Clears counters and flushes caches/predictor state. Events still
-  /// pending in the buffer are charged first — they happened before the
-  /// reset in program order.
-  void reset();
-
-private:
-  void drainPending() const {
-    if (!Events.empty())
-      Events.flush();
-  }
-
-  void stepAccess(uint64_t Addr, uint32_t Bytes) {
     if (Bytes == 0)
       Bytes = 1;
     // L1 block size is power-of-two (CacheSim asserts it), so the block
-    // split is a shift — the old per-event path paid two hardware integer
-    // divisions here, per access.
+    // split is a shift.
     uint32_t Shift = L1BlockShift;
     uint64_t First = Addr >> Shift;
     uint64_t Last = (Addr + Bytes - 1) >> Shift;
@@ -220,7 +159,8 @@ private:
     LastL1Slot = L1.lastTouchedSlot();
   }
 
-  void stepBranch(BranchSite Site, bool Taken) {
+  /// A data-dependent conditional branch at \p Site resolving to \p Taken.
+  void onBranch(BranchSite Site, bool Taken) {
     // The branch instruction itself.
     ++Instructions;
     Cycles += Cfg.BaseCpi;
@@ -228,23 +168,39 @@ private:
       Cycles += Cfg.MispredictPenalty;
   }
 
-  void stepInstructions(uint64_t Count) {
+  /// \p Count instructions of straight-line work (no memory/branch effects).
+  void onInstructions(uint64_t Count) {
     Instructions += Count;
     Cycles += static_cast<double>(Count) * Cfg.BaseCpi;
   }
 
-  void stepAlloc(uint64_t Bytes) {
+  /// A heap allocation of \p Bytes (allocator bookkeeping cost).
+  void onAlloc(uint64_t Bytes) {
     (void)Bytes;
     ++Allocations;
-    stepInstructions(static_cast<uint64_t>(Cfg.AllocInstructions));
+    onInstructions(static_cast<uint64_t>(Cfg.AllocInstructions));
   }
 
-  void stepFree(uint64_t Bytes) {
+  /// A heap release of \p Bytes.
+  void onFree(uint64_t Bytes) {
     (void)Bytes;
     ++Frees;
-    stepInstructions(static_cast<uint64_t>(Cfg.FreeInstructions));
+    onInstructions(static_cast<uint64_t>(Cfg.FreeInstructions));
   }
 
+  /// Snapshot of all counters since the last reset().
+  HardwareCounters counters() const;
+
+  double cycles() const { return Cycles; }
+  /// Nominal wall time implied by the cycle count and configured clock.
+  double seconds() const { return cycles() / (Cfg.ClockGhz * 1e9); }
+
+  const MachineConfig &config() const { return Cfg; }
+
+  /// Clears counters and flushes caches/predictor state.
+  void reset();
+
+private:
   MachineConfig Cfg;
   CacheSim L1;
   CacheSim L2;
@@ -260,10 +216,6 @@ private:
   static constexpr uint64_t InvalidSlot = ~0ULL;
   uint64_t LastL1Slot = InvalidSlot;
   uint32_t L1BlockShift;
-  /// Mutable: const accessors drain it; logically the model's counters
-  /// already include pending records. Containers append through a pointer
-  /// to it, so the model must outlive its producers.
-  mutable EventBuffer Events;
 };
 
 } // namespace brainy

@@ -12,7 +12,7 @@ using namespace brainy::serve;
 bool LineChannel::popLine(std::string &Out) {
   size_t Nl = Buffer.find('\n');
   if (Nl == std::string::npos) {
-    if (SawEof && !Buffer.empty()) {
+    if (SawEof && !Buffer.empty() && Buffer.size() <= MaxLineBytes) {
       // Final unterminated line: deliver what the peer managed to send.
       Out = std::move(Buffer);
       Buffer.clear();
@@ -32,14 +32,18 @@ LineChannel::ReadStatus LineChannel::readLine(std::string &Out,
                                               int TimeoutMs) {
   if (popLine(Out))
     return ReadStatus::Line;
-  if (SawEof)
-    return ReadStatus::Eof;
-  char Chunk[4096];
-  size_t N = Transport.readSome(Chunk, sizeof(Chunk), TimeoutMs, SawEof);
-  if (N != 0)
-    Buffer.append(Chunk, N);
-  if (popLine(Out))
-    return ReadStatus::Line;
+  if (!SawEof && Buffer.size() <= MaxLineBytes) {
+    char Chunk[4096];
+    size_t N = Transport.readSome(Chunk, sizeof(Chunk), TimeoutMs, SawEof);
+    if (N != 0)
+      Buffer.append(Chunk, N);
+    if (popLine(Out))
+      return ReadStatus::Line;
+  }
+  // No line to pop: Buffer is one unterminated line, at most MaxLineBytes
+  // plus one chunk long.
+  if (Buffer.size() > MaxLineBytes)
+    return ReadStatus::TooLong;
   return SawEof ? ReadStatus::Eof : ReadStatus::Timeout;
 }
 

@@ -15,8 +15,8 @@
 /// dispatcher hands it the lines drained from all connections, and the
 /// one-shot `brainy recommend --queries` CLI hands it a whole file. The
 /// byte-match CI gate rests on this sharing — and on the batched forward
-/// pass being bit-identical to the scalar one (NeuralNet.h), so Batched
-/// vs unbatched answering differs only in speed, never in bytes.
+/// pass being bit-identical to the scalar one (NeuralNet.h), which is why
+/// a server at MaxBatch 1 answers the same bytes as one at 256.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +35,10 @@ namespace serve {
 /// Answers \p Lines against \p Registry, one response line per request
 /// line, in input order. Malformed lines and unknown arches produce
 /// stable error lines (renderRecommendError) instead of aborting the
-/// group. \p Batched selects the matrix-matrix recommendBatch path; false
-/// answers query-by-query through the scalar path (the per-example
-/// baseline the serving benchmark compares against). Answers are
-/// byte-identical either way.
+/// group. Every production caller passes \p Batched = true, the
+/// matrix-matrix recommendBatch path. false answers query-by-query
+/// through the scalar path; it remains only as the per-query reference
+/// that serve_test compares the batched answers against.
 std::vector<std::string> answerRequestLines(const ModelRegistry &Registry,
                                             const std::vector<std::string> &Lines,
                                             bool Batched);

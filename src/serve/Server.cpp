@@ -9,6 +9,7 @@
 #include "serve/LineChannel.h"
 #include "serve/Pipeline.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -54,7 +55,7 @@ void RecommendServer::stop() {
   // Drain order matters: stop accepting first, then let every connection
   // handler finish its in-flight groups (the pool destructor runs every
   // queued task), and only then retire the dispatcher — it must outlive
-  // the last handler so every awaitBatch() completes.
+  // the last handler so every awaitBatches() completes.
   Stop.store(true);
   if (Acceptor.joinable())
     Acceptor.join();
@@ -130,18 +131,31 @@ void RecommendServer::handleConnection(dist::TcpTransport &Conn) {
           ++I;
           continue;
         }
-        PendingBatch Batch;
-        while (I != Lines.size() && !Lines[I].empty() &&
-               Lines[I][0] != '!') {
-          Batch.Lines.push_back(std::move(Lines[I++]));
-          if (!Options.Batched)
-            break; // per-example mode: every query is its own dispatch
+        // A run of queries goes out in dispatches of at most maxBatch()
+        // lines, all enqueued at once so the dispatcher answers them back
+        // to back rather than waiting for this handler between them.
+        std::vector<PendingBatch> Run;
+        while (I != Lines.size() && !Lines[I].empty() && Lines[I][0] != '!') {
+          if (Run.empty() || Run.back().Lines.size() == maxBatch())
+            Run.emplace_back();
+          Run.back().Lines.push_back(std::move(Lines[I++]));
         }
-        awaitBatch(Batch);
-        for (std::string &R : Batch.Responses)
-          Out.push_back(std::move(R));
+        awaitBatches(Run);
+        for (PendingBatch &B : Run)
+          for (std::string &R : B.Responses)
+            Out.push_back(std::move(R));
       }
       Chan.writeLines(Out);
+    }
+    if (Status == LineChannel::ReadStatus::TooLong) {
+      // The lines before the overlong one are answered; the rest of the
+      // stream is never read.
+      Chan.writeLine(renderRecommendError(
+          Error(ErrCode::OutOfRange, "request line longer than " +
+                                         std::to_string(MaxLineBytes) +
+                                         " bytes")));
+      Conn.shutdownWrite();
+      return;
     }
     if (Status == LineChannel::ReadStatus::Eof)
       return; // client finished; everything it sent has been answered
@@ -150,11 +164,13 @@ void RecommendServer::handleConnection(dist::TcpTransport &Conn) {
   }
 }
 
-void RecommendServer::awaitBatch(PendingBatch &Batch) {
+void RecommendServer::awaitBatches(std::vector<PendingBatch> &Run) {
   MutexLock Lock(BatchMutex);
-  BatchQueue.push_back(&Batch);
+  for (PendingBatch &B : Run)
+    BatchQueue.push_back(&B);
   BatchCv.notifyOne();
-  while (!Batch.Done)
+  while (!std::all_of(Run.begin(), Run.end(),
+                      [](const PendingBatch &B) { return B.Done; }))
     DoneCv.wait(BatchMutex);
 }
 
@@ -168,20 +184,16 @@ void RecommendServer::dispatchLoop() {
         BatchCv.wait(BatchMutex);
       if (BatchQueue.empty())
         return; // draining and nothing left — every handler has finished
-      // Natural batching: take everything already waiting, up to MaxBatch
-      // queries (always at least one group so oversized groups still run).
-      // Per-example mode takes exactly one group — queries are never
-      // coalesced across dispatches, which is the baseline the serving
-      // benchmark measures batching against.
+      // Natural batching: take everything already waiting, up to
+      // maxBatch() queries. Every group holds at most that many, so at 1
+      // each query is its own dispatch.
       while (!BatchQueue.empty()) {
         size_t Next = BatchQueue.front()->Lines.size();
-        if (!Group.empty() && Queries + Next > Options.MaxBatch)
+        if (Queries + Next > maxBatch())
           break;
         Group.push_back(BatchQueue.front());
         BatchQueue.pop_front();
         Queries += Next;
-        if (!Options.Batched)
-          break;
       }
     }
     std::vector<std::string> Combined;
@@ -191,7 +203,7 @@ void RecommendServer::dispatchLoop() {
         Combined.push_back(Line);
     std::vector<std::string> Answers;
     try {
-      Answers = answerRequestLines(Registry, Combined, Options.Batched);
+      Answers = answerRequestLines(Registry, Combined, true);
     } catch (const ErrorException &E) {
       Answers.assign(Combined.size(), renderRecommendError(E.error()));
     }

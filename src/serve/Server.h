@@ -27,7 +27,10 @@
 /// Protocol: one request line per query (grammar in core/Recommend.h),
 /// one response line per request, in order. Lines starting with '!' are
 /// control commands: `!reload` re-reads every bundle path (equivalent to
-/// SIGHUP in the CLI) and answers with a status line.
+/// SIGHUP in the CLI) and answers with a status line. A line longer than
+/// MaxLineBytes (serve/LineChannel.h) gets one `error out-of-range` line
+/// after the answers to the lines before it, and the server closes the
+/// connection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,13 +59,11 @@ struct ServeOptions {
   std::string Host = "127.0.0.1";
   uint16_t Port = 0;                   ///< 0 = ephemeral (see port())
   unsigned ConnWorkers = 8;            ///< concurrent connection handlers
-  unsigned MaxBatch = 256;             ///< max queries per dispatch group
-  /// false = the per-example baseline architecture: every query is
-  /// dispatched and answered individually through the scalar forward
-  /// pass — what serving looked like before batch assembly, and what
-  /// bench/micro_serving.cpp measures batching against. Answers are
-  /// byte-identical either way.
-  bool Batched = true;
+  /// Max queries per dispatch (0 counts as 1). 1 is the per-example
+  /// baseline that bench/micro_serving.cpp measures batching against:
+  /// every query is its own one-row forward pass, never merged with
+  /// another. Answers are byte-identical at any value.
+  unsigned MaxBatch = 256;
 };
 
 /// Monotonic serving counters (all relaxed; diagnostics only).
@@ -102,8 +103,8 @@ public:
   const ServeStats &stats() const { return Stats; }
 
 private:
-  /// One enqueued group of query lines from one connection, answered in
-  /// place by the dispatcher.
+  /// One enqueued group of at most maxBatch() query lines from one
+  /// connection, answered in place by the dispatcher.
   struct PendingBatch {
     std::vector<std::string> Lines;
     std::vector<std::string> Responses;
@@ -114,11 +115,14 @@ private:
   void dispatchLoop();
   void handleConnection(dist::TcpTransport &Conn);
 
-  /// Enqueues \p Batch and parks until the dispatcher marks it done.
-  void awaitBatch(PendingBatch &Batch);
+  /// Enqueues every batch of \p Run, in order, and parks until the
+  /// dispatcher has marked them all done.
+  void awaitBatches(std::vector<PendingBatch> &Run);
 
   /// Answers one control line ('!'-prefixed) synchronously.
   std::string answerControlLine(const std::string &Line);
+
+  size_t maxBatch() const { return Options.MaxBatch ? Options.MaxBatch : 1; }
 
   const ServeOptions Options;
   ModelRegistry Registry;

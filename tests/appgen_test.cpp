@@ -260,8 +260,8 @@ TEST(AppRunnerTest, ProfiledCyclesMatchPlainRun) {
 
 TEST(AppRunnerTest, CapThatNeverFiresChangesNothing) {
   // The tightest cap that cannot fire is the run's own count at margin 0:
-  // the drained count never passes the final one. Checking it between
-  // calls reads the model without draining it, so every counter matches.
+  // the count between calls only grows toward the final one, and never
+  // passes it. Checking it only reads the model, so every counter matches.
   AppConfig Cfg;
   Cfg.TotalInterfCalls = 300;
   for (const MachineConfig &MC :

@@ -9,7 +9,8 @@
 # .brainy.cpp siblings, compile original and rewritten with the same
 # compiler, run both and byte-compare stdout, and finally prove
 # idempotence by re-applying in place and byte-comparing the file. It also
-# checks that `serve` and `train` exit 2 on a number too large for its flag.
+# checks that `serve` and `train` exit 2 on a number too large for its flag,
+# and that `serve` and `recommend` exit 2 on the removed --unbatched flag.
 #
 # Inputs: -DBRAINY=<brainy binary> -DSRC_DIR=<examples/apply>
 #         -DCXX=<compiler> -DWORK_DIR=<scratch dir>
@@ -61,6 +62,23 @@ execute_process(
 if(NOT Rc EQUAL 2)
   message(FATAL_ERROR
           "apply gate: train --target 4294967296 exited ${Rc}, not 2")
+endif()
+
+# --- A removed flag is an unknown flag: exit 2 -------------------------------
+# Per-example serving is --max-batch 1; --unbatched no longer exists.
+execute_process(
+  COMMAND "${BRAINY}" serve --models /nonexistent --unbatched
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR "apply gate: serve --unbatched exited ${Rc}, not 2")
+endif()
+execute_process(
+  COMMAND "${BRAINY}" recommend --models /nonexistent
+          --queries /nonexistent --unbatched
+  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR
+          "apply gate: recommend --unbatched exited ${Rc}, not 2")
 endif()
 
 # --- Plan: --dry-run --json must succeed with zero rejections ----------------

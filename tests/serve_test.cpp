@@ -7,13 +7,16 @@
 //  * the batched forward pass is bit-identical to the scalar one at any
 //    batch size, so batch assembly can never change an answer;
 //  * the request pipeline answers in input order for any mix of good and
-//    malformed lines, batched or not, and a live server returns the same
-//    bytes at any MaxBatch / client-thread count;
+//    malformed lines, batched or query by query, and a live server
+//    returns the same bytes at any MaxBatch / client-thread count, never
+//    dispatching more than MaxBatch queries at once;
 //  * the registry hot-swap is atomic: every query is answered entirely by
 //    the old bundle or entirely by the new one, a corrupt replacement
 //    keeps the old bundle serving, and in-flight snapshots keep a retired
 //    bundle alive until they drain;
-//  * graceful shutdown answers everything accepted before stopping.
+//  * graceful shutdown answers everything accepted before stopping;
+//  * a request line longer than MaxLineBytes is refused with an error
+//    line and the connection closed, without holding up other clients.
 //
 //===----------------------------------------------------------------------===//
 
@@ -286,9 +289,9 @@ TEST(Pipeline, AnswersInOrderBatchedAndUnbatchedIdentically) {
 namespace {
 
 /// Answers every line one-shot as the reference, then serves the same
-/// lines through a live server with the given shape and diffs.
-void expectServerMatchesOneShot(unsigned MaxBatch, bool Batched,
-                                unsigned Clients) {
+/// lines through a live server with the given shape, diffs, and checks
+/// that no dispatch held more than MaxBatch queries.
+void expectServerMatchesOneShot(unsigned MaxBatch, unsigned Clients) {
   std::string Path = tmpPath("det.models");
   ASSERT_FALSE(writeSyntheticBundle(Path, "core2", "t", 2));
   ModelRegistry Reference({Path});
@@ -306,7 +309,6 @@ void expectServerMatchesOneShot(unsigned MaxBatch, bool Batched,
   ServeOptions Opts;
   Opts.ModelPaths = {Path};
   Opts.MaxBatch = MaxBatch;
-  Opts.Batched = Batched;
   Opts.ConnWorkers = Clients;
   RecommendServer Server(Opts);
   ASSERT_FALSE(Server.start());
@@ -331,21 +333,88 @@ void expectServerMatchesOneShot(unsigned MaxBatch, bool Batched,
 
   EXPECT_EQ(Failures.load(), 0u);
   for (unsigned C = 0; C != Clients; ++C)
-    EXPECT_EQ(Got[C], Want[C]) << "client " << C << " MaxBatch " << MaxBatch
-                               << " Batched " << Batched;
+    EXPECT_EQ(Got[C], Want[C]) << "client " << C << " MaxBatch " << MaxBatch;
+  EXPECT_LE(Server.stats().MaxBatch.load(), MaxBatch);
 }
 
 } // namespace
 
 TEST(RecommendServer, SameAnswersAtAnyBatchSizeAndClientCount) {
-  expectServerMatchesOneShot(/*MaxBatch=*/1, /*Batched=*/true, /*Clients=*/4);
-  expectServerMatchesOneShot(/*MaxBatch=*/4, /*Batched=*/true, /*Clients=*/4);
-  expectServerMatchesOneShot(/*MaxBatch=*/256, /*Batched=*/true,
-                             /*Clients=*/8);
-  expectServerMatchesOneShot(/*MaxBatch=*/256, /*Batched=*/false,
-                             /*Clients=*/4);
-  expectServerMatchesOneShot(/*MaxBatch=*/256, /*Batched=*/true,
-                             /*Clients=*/1);
+  expectServerMatchesOneShot(/*MaxBatch=*/1, /*Clients=*/4);
+  expectServerMatchesOneShot(/*MaxBatch=*/4, /*Clients=*/4);
+  expectServerMatchesOneShot(/*MaxBatch=*/256, /*Clients=*/8);
+  expectServerMatchesOneShot(/*MaxBatch=*/1, /*Clients=*/8);
+  expectServerMatchesOneShot(/*MaxBatch=*/256, /*Clients=*/1);
+}
+
+TEST(RecommendServer, MaxBatchBoundsEveryDispatch) {
+  // One client pipelines 25 lines in one write. The handler reads them as
+  // one run, which must still go out in dispatches of at most 4.
+  expectServerMatchesOneShot(/*MaxBatch=*/4, /*Clients=*/1);
+}
+
+TEST(RecommendServer, OverlongLineIsAnsweredAndClosed) {
+  std::string Path = tmpPath("overlong.models");
+  ASSERT_FALSE(writeSyntheticBundle(Path, "core2", "t", 0));
+  ModelRegistry Reference({Path});
+  ASSERT_FALSE(Reference.loadInitial());
+  std::vector<std::string> Want =
+      answerRequestLines(Reference, {queryLine("core2", 0),
+                                     queryLine("core2", 1)},
+                         true);
+
+  ServeOptions Opts;
+  Opts.ModelPaths = {Path};
+  Opts.ConnWorkers = 2;
+  RecommendServer Server(Opts);
+  ASSERT_FALSE(Server.start());
+
+  // One valid line, then 1 MiB with no newline. The writer has its own
+  // thread: the server stops reading long before the last byte, so the
+  // write ends when the server resets the connection.
+  auto Conn = dist::TcpTransport::connectTo(
+      dist::TcpEndpoint{"127.0.0.1", Server.port()}, 5000);
+  std::thread Writer([&] {
+    std::string Request = queryLine("core2", 0) + "\n";
+    Request.append(1 << 20, 'x');
+    try {
+      Conn->writeAll(Request.data(), Request.size());
+    } catch (const ErrorException &) {
+      // Expected: the server resets the connection it stopped reading.
+    }
+  });
+
+  std::vector<std::string> Second, Lines;
+  LineChannel::ReadStatus St = LineChannel::ReadStatus::Timeout;
+  std::string ReadError;
+  try {
+    // A second client is served meanwhile.
+    Second = roundTrip(Server.port(), queryLine("core2", 1) + "\n", 1);
+    // Bounded wait: a server that keeps buffering the line never answers
+    // it, and must fail this test rather than hang it.
+    LineChannel Chan(*Conn);
+    std::string Line;
+    for (unsigned Slice = 0; Slice != 50; ++Slice) {
+      St = Chan.readLine(Line, 100);
+      if (St == LineChannel::ReadStatus::Line)
+        Lines.push_back(Line);
+      else if (St != LineChannel::ReadStatus::Timeout)
+        break;
+    }
+  } catch (const ErrorException &E) {
+    ReadError = E.what();
+  }
+  Writer.join();
+  Server.stop();
+
+  EXPECT_EQ(ReadError, "");
+  EXPECT_EQ(Second, std::vector<std::string>{Want[1]});
+  EXPECT_EQ(St, LineChannel::ReadStatus::Eof);
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Lines[0], Want[0]);
+  EXPECT_EQ(Lines[1], "error out-of-range: request line longer than "
+                      "65536 bytes");
+  EXPECT_EQ(Server.stats().Queries.load(), 2u);
 }
 
 TEST(RecommendServer, HotSwapMidTrafficIsAtomicAndCorruptReloadIsSafe) {

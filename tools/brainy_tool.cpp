@@ -169,11 +169,10 @@ int usage() {
       "  check [--json] [--jobs N] FILE...\n"
       "  recommend --source FILE [FILE...]\n"
       "  recommend --models BUNDLE[,BUNDLE...] --queries FILE|-\n"
-      "            [--unbatched]\n"
       "  apply [--dry-run] [--json] [--in-place] [--prefer LIST]\n"
       "        [--jobs N] FILE...\n"
       "  serve --models BUNDLE[,BUNDLE...] [--host H] [--port P]\n"
-      "        [--conn-workers N] [--max-batch N] [--unbatched]\n");
+      "        [--conn-workers N] [--max-batch N]\n");
   return 2;
 }
 
@@ -620,7 +619,7 @@ int cmdRecommendQueries(const Args &A) {
     Pos = Eol + 1;
   }
   std::vector<std::string> Responses =
-      serve::answerRequestLines(Registry, Lines, !A.has("unbatched"));
+      serve::answerRequestLines(Registry, Lines, true);
   for (const std::string &R : Responses)
     std::printf("%s\n", R.c_str());
   return 0;
@@ -660,7 +659,6 @@ int cmdServe(const Args &A) {
   Opts.Port = A.getInt<uint16_t>("port", 0);
   Opts.ConnWorkers = A.getInt<unsigned>("conn-workers", 8);
   Opts.MaxBatch = A.getInt<unsigned>("max-batch", 256);
-  Opts.Batched = !A.has("unbatched");
 
   // Route the control signals through sigwait on this thread: block them
   // before start() so every serving thread inherits the mask and none of
@@ -775,13 +773,11 @@ int main(int Argc, char **Argv) {
     KnownBool = {"json"};
   } else if (Cmd == "recommend") {
     Known = {"source", "jobs", "models", "queries"};
-    KnownBool = {"unbatched"};
   } else if (Cmd == "apply") {
     Known = {"jobs", "prefer"};
     KnownBool = {"json", "dry-run", "in-place"};
   } else if (Cmd == "serve") {
     Known = {"models", "host", "port", "conn-workers", "max-batch"};
-    KnownBool = {"unbatched"};
   } else if (Cmd != "machines" && Cmd != "survey")
     return usage();
 
