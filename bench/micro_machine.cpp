@@ -80,6 +80,24 @@ void BM_MachineModelStream(benchmark::State &State) {
 }
 BENCHMARK(BM_MachineModelStream);
 
+void BM_MachineModelBlockScan(benchmark::State &State) {
+  // 64-byte-stride touches over 1 MB through onAccess on core2, as a scan
+  // over elements of 64 B or more emits them: every touch is a new
+  // sequential block, so it pays two prefetch fills per level before its
+  // L1 lookup. BM_MachineModelStream mostly takes the repeat-block fast
+  // path and BM_CacheAccessSequential has no prefetcher, so neither
+  // times this path.
+  MachineModel M(MachineConfig::core2());
+  uint64_t N = 0;
+  for (auto _ : State) {
+    M.onAccess(0x100000000ULL + (N % 16384) * 64, 8);
+    ++N;
+  }
+  benchmark::DoNotOptimize(M.cycles());
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_MachineModelBlockScan);
+
 void BM_RunSyntheticApp(benchmark::State &State) {
   AppConfig Gen;
   Gen.TotalInterfCalls = 500;

@@ -16,8 +16,7 @@ CacheSim::CacheSim(CacheGeometry Geometry) : Geom(Geometry) {
   Assoc = Geom.Associativity;
   uint64_t NumSets = Geom.numSets();
   SetMask = NumSets - 1;
-  Tags.resize(NumSets * Assoc, 0);
-  LastUse.resize(NumSets * Assoc, 0);
+  Blocks.assign(NumSets * Assoc, Empty);
 }
 
 uint32_t CacheSim::accessRange(uint64_t Addr, uint32_t Bytes) {
@@ -33,9 +32,7 @@ uint32_t CacheSim::accessRange(uint64_t Addr, uint32_t Bytes) {
 }
 
 void CacheSim::reset() {
-  std::fill(Tags.begin(), Tags.end(), 0);
-  std::fill(LastUse.begin(), LastUse.end(), 0);
-  Clock = 0;
+  std::fill(Blocks.begin(), Blocks.end(), Empty);
   Hits = 0;
   Misses = 0;
 }

@@ -10,11 +10,12 @@
 /// hinges on L2 capacity differences between the Core2 (4 MB) and the Atom
 /// (512 KB), so the simulator models both levels.
 ///
-/// The state is laid out structure-of-arrays (parallel Tags[] / LastUse[]
-/// vectors instead of an array of Way structs) and the probe loop lives in
-/// the header: MachineModel::onAccess executes one probe per container
-/// memory touch, and the SoA layout lets the tag scan touch one contiguous
-/// 8-entry run per array instead of strided struct fields.
+/// Each set is an array of block numbers kept in recency order, most
+/// recently used first, so the LRU block is always the last entry and no
+/// timestamps are kept. MachineModel::onAccess probes once per container
+/// memory touch plus once per prefetch fill, and in recency order the
+/// blocks a stream re-touches or has just prefetched are found at the
+/// head of their set after one compare.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,72 +52,37 @@ struct CacheGeometry {
 };
 
 /// One level of set-associative cache with true-LRU replacement.
+///
+/// Invariant: each set holds its resident blocks most recent first,
+/// followed by Empty entries, so a block's position is its recency rank,
+/// not a hardware way. Nothing needs the way: true LRU's resident set, and
+/// so every hit and miss, depends only on the sequence of access() and
+/// fill() calls, whichever way a real cache would put each block in.
 class CacheSim {
 public:
   explicit CacheSim(CacheGeometry Geometry);
 
-  /// Looks up the block containing \p Addr, filling on miss.
+  /// Looks up the block containing \p Addr, filling on miss; either way
+  /// the block becomes the most recent of its set.
   /// \returns true on hit.
-  ///
-  /// Victim choice is position-stable: the scan starts at way 0 and only
-  /// moves on a strictly smaller timestamp, so ties resolve to the lowest
-  /// way index — the exact replacement order the pre-SoA model had, which
-  /// the bit-identity guarantee depends on.
   bool access(uint64_t Addr) {
-    uint64_t Block = Addr >> BlockShift;
-    uint64_t Set = Block & SetMask;
-    uint64_t Tag = Block >> 1; // Keep set bits in the tag; harmless & simple.
-    uint64_t Base = Set * Assoc;
-    uint64_t *SetTags = &Tags[Base];
-    uint64_t *SetUse = &LastUse[Base];
-    ++Clock;
-
-    // Track the victim's timestamp by value so the scan keeps it in a
-    // register; strict less-than preserves lowest-way tie-breaking. The
-    // victim update is written ternary-style so the compiler emits
-    // conditional moves — on random timestamps that branch is inherently
-    // unpredictable and mispredicts dominate the scan otherwise. The hit
-    // test uses a bitwise & for the same reason.
-    uint32_t Victim = 0;
-    uint64_t VictimUse = SetUse[0];
-    for (uint32_t W = 0; W != Assoc; ++W) {
-      uint64_t Use = SetUse[W];
-      if ((Use != 0) & (SetTags[W] == Tag)) {
-        SetUse[W] = Clock;
-        ++Hits;
-        LastSlot = Base + W;
-        return true;
-      }
-      bool Less = Use < VictimUse;
-      Victim = Less ? W : Victim;
-      VictimUse = Less ? Use : VictimUse;
+    if (promote(Addr >> BlockShift)) {
+      ++Hits;
+      return true;
     }
     ++Misses;
-    SetTags[Victim] = Tag;
-    SetUse[Victim] = Clock;
-    LastSlot = Base + Victim;
     return false;
   }
 
-  /// Flat Tags/LastUse index of the entry access() last hit in or filled —
-  /// combined with the caller tracking "same block as last access", this
-  /// enables the O(1) re-touch fast path below.
-  uint64_t lastTouchedSlot() const { return LastSlot; }
-
-  /// Re-touches \p Slot, which the caller knows still holds the block of
-  /// \p Addr (it was the most recently used entry and nothing touched this
-  /// cache since). Side effects are exactly those of access() hitting at
-  /// that entry: clock tick, LRU stamp, hit count. Taking the precomputed
-  /// flat slot skips the set-index arithmetic entirely — the repeat path
-  /// does no address math beyond the caller's block compare.
-  void touchSlot(uint64_t Addr, uint64_t Slot) {
-    (void)Addr;
-    assert(Slot < LastUse.size() && LastUse[Slot] != 0 &&
-           Slot / Assoc == ((Addr >> BlockShift) & SetMask) &&
-           Tags[Slot] == ((Addr >> BlockShift) >> 1) &&
-           "touchSlot caller lost track of the MRU block");
-    ++Clock;
-    LastUse[Slot] = Clock;
+  /// Counts a hit on the block containing \p Addr without probing. The
+  /// caller knows that block is the head of its set: it is the block this
+  /// cache last looked up, and nothing has touched the cache since. A hit
+  /// at the head moves nothing, so this is exactly access() hitting there.
+  void hitMostRecent(uint64_t Addr) {
+    uint64_t Block = Addr >> BlockShift;
+    (void)Block;
+    assert(Block != Empty && Blocks[(Block & SetMask) * Assoc] == Block &&
+           "hitMostRecent caller lost track of the most recent block");
     ++Hits;
   }
 
@@ -125,31 +91,10 @@ public:
   uint32_t accessRange(uint64_t Addr, uint32_t Bytes);
 
   /// Fills the block containing \p Addr without touching hit/miss counters
-  /// (models a hardware prefetch completing before the demand access).
-  void fill(uint64_t Addr) {
-    uint64_t Block = Addr >> BlockShift;
-    uint64_t Set = Block & SetMask;
-    uint64_t Tag = Block >> 1;
-    uint64_t Base = Set * Assoc;
-    uint64_t *SetTags = &Tags[Base];
-    uint64_t *SetUse = &LastUse[Base];
-    ++Clock;
-
-    uint32_t Victim = 0;
-    uint64_t VictimUse = SetUse[0];
-    for (uint32_t W = 0; W != Assoc; ++W) {
-      uint64_t Use = SetUse[W];
-      if ((Use != 0) & (SetTags[W] == Tag)) {
-        SetUse[W] = Clock;
-        return;
-      }
-      bool Less = Use < VictimUse;
-      Victim = Less ? W : Victim;
-      VictimUse = Less ? Use : VictimUse;
-    }
-    SetTags[Victim] = Tag;
-    SetUse[Victim] = Clock;
-  }
+  /// (models a hardware prefetch completing before the demand access). A
+  /// block already present becomes the most recent of its set, as on a
+  /// hit.
+  void fill(uint64_t Addr) { promote(Addr >> BlockShift); }
 
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
@@ -167,18 +112,46 @@ public:
   void reset();
 
 private:
+  /// The empty marker. Entries hold whole block numbers (a tag that drops
+  /// the set bits would alias adjacent blocks on a one-set cache), and no
+  /// block number equals ~0: a block number is Addr >> BlockShift, below
+  /// 2^63 once blocks are 2 bytes or more. CacheGeometry::valid() also
+  /// admits 1-byte blocks, where ~0 is the block of the address space's
+  /// last byte. The simulator never touches that byte (a range ending
+  /// there would never leave accessRange()'s or MachineModel::onAccess's
+  /// block loop), and promote() asserts it is never looked up.
+  static constexpr uint64_t Empty = ~0ULL;
+
+  /// Moves \p Block to the head of its set. On a hit at depth D, the D
+  /// entries above it move down one; on a miss every entry moves down one
+  /// and the last one (the LRU block, or Empty) drops out.
+  /// \returns whether \p Block was present.
+  bool promote(uint64_t Block) {
+    assert(Block != Empty && "block ~0 is the empty marker");
+    uint64_t *Set = &Blocks[(Block & SetMask) * Assoc];
+    uint64_t Carry = Set[0];
+    if (Carry == Block)
+      return true; // already the most recent: nothing moves
+    Set[0] = Block;
+    for (uint32_t W = 1; W != Assoc; ++W) {
+      uint64_t Cur = Set[W];
+      Set[W] = Carry;
+      if (Cur == Block)
+        return true;
+      Carry = Cur;
+    }
+    return false;
+  }
+
   CacheGeometry Geom;
   uint64_t SetMask;
   uint32_t BlockShift;
   uint32_t Assoc;
-  uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t LastSlot = 0; ///< flat entry index access() last hit in or filled
-  // SoA: parallel per-way arrays, NumSets x Associativity, row-major.
-  // LastUse is a monotonically increasing timestamp; 0 = invalid way.
-  std::vector<uint64_t> Tags;
-  std::vector<uint64_t> LastUse;
+  /// NumSets x Associativity block numbers, row-major, each set in
+  /// recency order.
+  std::vector<uint64_t> Blocks;
 };
 
 } // namespace brainy

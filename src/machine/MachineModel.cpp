@@ -73,5 +73,4 @@ void MachineModel::reset() {
   Allocations = 0;
   Frees = 0;
   LastBlock = ~0ULL;
-  LastL1Slot = InvalidSlot;
 }

@@ -122,14 +122,14 @@ public:
     uint64_t Last = (Addr + Bytes - 1) >> Shift;
     // Fast path for the dominant pattern: a repeat touch of the block the
     // previous access ended on (consecutive field/element reads within one
-    // cache line — 7 of 8 accesses in an 8-byte-stride scan). That block is
-    // the L1 MRU entry and nothing has touched the caches since, so this is
-    // a guaranteed L1 streaming hit: replay exactly its side effects (L1
-    // clock tick + LRU stamp + hit count + StreamHitCycles) without the
-    // probe scan or prefetch checks. Not sequential, so no fills fire on
+    // cache line — 7 of 8 accesses in an 8-byte-stride scan). That block
+    // is the head of its L1 set, since its lookup was the last thing to
+    // touch the caches, so this is a guaranteed L1 streaming hit that
+    // moves nothing: count the hit and charge StreamHitCycles, without the
+    // probe or the prefetch checks. Not sequential, so no fills fire on
     // this path in the general loop either — bit-identical by construction.
-    if (First == Last && First == LastBlock && LastL1Slot != InvalidSlot) {
-      L1.touchSlot(Addr, LastL1Slot);
+    if (First == Last && First == LastBlock) {
+      L1.hitMostRecent(Addr);
       Cycles += Cfg.StreamHitCycles;
       return;
     }
@@ -156,7 +156,6 @@ public:
       Cycles += Cfg.L1HitCycles +
                 (Cfg.L2HitCycles + Cfg.MemoryCycles) * Cfg.MissExposure;
     }
-    LastL1Slot = L1.lastTouchedSlot();
   }
 
   /// A data-dependent conditional branch at \p Site resolving to \p Taken.
@@ -209,12 +208,10 @@ private:
   uint64_t Instructions = 0;
   uint64_t Allocations = 0;
   uint64_t Frees = 0;
-  uint64_t LastBlock = ~0ULL; ///< prefetcher stream-detection state
-  /// Flat L1 entry index holding LastBlock — the repeat-access fast path's
-  /// precondition. InvalidSlot until the first access lands (and again
-  /// after reset()).
-  static constexpr uint64_t InvalidSlot = ~0ULL;
-  uint64_t LastL1Slot = InvalidSlot;
+  /// The block the last access ended on, for the prefetcher's stream
+  /// detection and the repeat-block fast path: ~0 (never a block, see
+  /// CacheSim's empty marker) until the first access and after reset().
+  uint64_t LastBlock = ~0ULL;
   uint32_t L1BlockShift;
 };
 

@@ -96,8 +96,9 @@ TEST(SplayTreeTest, RandomChurnAgainstReference) {
       break;
     }
     ASSERT_EQ(T.size(), Ref.size());
-    if (I % 1000 == 0)
+    if (I % 1000 == 0) {
       ASSERT_TRUE(T.checkInvariants());
+    }
   }
   ASSERT_TRUE(T.checkInvariants());
   uint64_t I = 0;

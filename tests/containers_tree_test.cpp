@@ -86,8 +86,9 @@ TYPED_TEST(TreeTest, RandomChurnKeepsInvariants) {
       ASSERT_EQ(Res.Found, Ref.erase(K) == 1);
     }
     ASSERT_EQ(T.size(), Ref.size());
-    if (I % 500 == 0)
+    if (I % 500 == 0) {
       ASSERT_TRUE(T.checkInvariants());
+    }
   }
   ASSERT_TRUE(T.checkInvariants());
   // Full content check.

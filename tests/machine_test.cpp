@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <list>
 #include <string>
+#include <vector>
 
 using namespace brainy;
 
@@ -131,6 +135,126 @@ TEST(CacheSimTest, ResetClearsContents) {
   C.reset();
   EXPECT_EQ(C.accesses(), 0u);
   EXPECT_FALSE(C.access(0x40));
+}
+
+TEST(CacheSimTest, OneSetCacheKeepsAdjacentBlocksApart) {
+  // 2 ways of 64 B in 128 B is one set, so every block maps to it and
+  // blocks 0 and 1 differ only in their lowest bit: a tag that drops the
+  // set bits cannot tell them apart.
+  CacheSim C(CacheGeometry{128, 2, 64});
+  EXPECT_FALSE(C.access(0));
+  EXPECT_FALSE(C.access(64));
+  EXPECT_TRUE(C.access(0));
+  EXPECT_TRUE(C.access(64));
+  EXPECT_FALSE(C.access(128)); // evicts block 0, the LRU one
+  EXPECT_TRUE(C.access(64));
+  EXPECT_TRUE(C.access(128));
+  EXPECT_FALSE(C.access(0));
+  EXPECT_EQ(C.hits(), 4u);
+  EXPECT_EQ(C.misses(), 4u);
+}
+
+namespace {
+
+/// Naive true LRU: per set, a list of block numbers, most recent first.
+/// Also records how deep each hit was found and how often a full set
+/// evicted, so the test can check that its stream covers both.
+class ReferenceLru {
+public:
+  explicit ReferenceLru(const CacheGeometry &G)
+      : BlockBytes(G.BlockBytes), Ways(G.Associativity), Sets(G.numSets()),
+        HitsAtDepth(G.Associativity, 0) {}
+
+  /// Looks \p Addr's block up and makes it the most recent; a miss on a
+  /// full set evicts the least recent. \returns true on hit.
+  bool touch(uint64_t Addr) {
+    uint64_t Block = Addr / BlockBytes;
+    std::list<uint64_t> &Set = Sets[Block % Sets.size()];
+    auto It = std::find(Set.begin(), Set.end(), Block);
+    bool Hit = It != Set.end();
+    if (Hit) {
+      ++HitsAtDepth[std::distance(Set.begin(), It)];
+      Set.erase(It);
+    } else if (Set.size() == Ways) {
+      Set.pop_back();
+      ++Evictions;
+    }
+    Set.push_front(Block);
+    return Hit;
+  }
+
+  bool access(uint64_t Addr) {
+    bool Hit = touch(Addr);
+    ++(Hit ? Hits : Misses);
+    return Hit;
+  }
+
+  void reset() {
+    for (std::list<uint64_t> &Set : Sets)
+      Set.clear();
+    Hits = Misses = 0;
+  }
+
+  uint64_t BlockBytes;
+  size_t Ways;
+  std::vector<std::list<uint64_t>> Sets;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  std::vector<uint64_t> HitsAtDepth;
+  uint64_t Evictions = 0;
+};
+
+} // namespace
+
+TEST(CacheSimTest, MatchesNaiveLruReference) {
+  const CacheGeometry Geometries[] = {
+      {128, 2, 64},              // 1 set x 2 ways
+      {1024, 2, 64},             // 8 sets x 2 ways
+      {1024, 16, 64},            // 1 set x 16 ways
+      MachineConfig::core2().L1, // 64 sets x 8 ways
+      MachineConfig::core2().L2, // 4096 sets x 16 ways
+      MachineConfig::atom().L2,  // 1024 sets x 8 ways
+  };
+  for (const CacheGeometry &G : Geometries) {
+    SCOPED_TRACE(testing::Message() << G.SizeBytes << " B, "
+                                    << G.Associativity << " ways");
+    CacheSim C(G);
+    ReferenceLru Ref(G);
+    // Addresses span 3x the cache, so full sets evict; a quarter of the
+    // touches revisit one of the last 64 addresses, so hits also land
+    // near the head of their set, not only at random depths.
+    uint64_t Span = 3 * G.SizeBytes;
+    uint64_t NumBlocks = G.SizeBytes / G.BlockBytes;
+    uint64_t Ops = std::max<uint64_t>(20000, 8 * NumBlocks);
+    uint64_t Recent[64] = {};
+    uint64_t Lcg = 7 + G.SizeBytes + G.Associativity;
+    unsigned Resets = 0;
+    for (uint64_t I = 0; I != Ops; ++I) {
+      Lcg = Lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      uint64_t R = Lcg >> 11;
+      if (R % (Ops / 3) == 0) {
+        C.reset();
+        Ref.reset();
+        ++Resets;
+        continue;
+      }
+      uint64_t Addr = R % 4 == 0 ? Recent[(R >> 4) % 64] : (R >> 10) % Span;
+      Recent[I % 64] = Addr;
+      if ((R >> 2) % 4 == 0) {
+        C.fill(Addr);
+        Ref.touch(Addr);
+        continue;
+      }
+      ASSERT_EQ(C.access(Addr), Ref.access(Addr)) << "op " << I;
+    }
+    EXPECT_EQ(C.hits(), Ref.Hits);
+    EXPECT_EQ(C.misses(), Ref.Misses);
+    // The stream reached every depth of a set, evicted, and reset.
+    for (size_t D = 0; D != Ref.HitsAtDepth.size(); ++D)
+      EXPECT_GT(Ref.HitsAtDepth[D], 0u) << "no hit at depth " << D;
+    EXPECT_GT(Ref.Evictions, 0u);
+    EXPECT_GT(Resets, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

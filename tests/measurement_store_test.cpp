@@ -88,9 +88,10 @@ void expectSameRecords(const MeasurementCache &A, const MeasurementCache &B) {
     EXPECT_EQ(RA[I].Mask, RB[I].Mask);
     EXPECT_EQ(RA[I].BoundMask, RB[I].BoundMask);
     for (unsigned K = 0; K != NumDsKinds; ++K)
-      if (RA[I].Mask & (1u << K))
+      if (RA[I].Mask & (1u << K)) {
         EXPECT_EQ(RA[I].Cycles[K], RB[I].Cycles[K])
             << "seed " << RA[I].Seed << " kind " << K;
+      }
   }
 }
 
