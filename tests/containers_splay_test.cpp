@@ -1,4 +1,4 @@
-//===- tests/containers_splay_test.cpp - SplayTree tests ------------------===//
+//===- tests/containers_splay_test.cpp - SplayTree-only tests -------------===//
 //
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
@@ -11,24 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <vector>
 
 using namespace brainy;
 using namespace brainy::ds;
-
-TEST(SplayTreeTest, InsertFindErase) {
-  SplayTree T;
-  EXPECT_TRUE(T.insert(5).Found);
-  EXPECT_TRUE(T.insert(3).Found);
-  EXPECT_TRUE(T.insert(8).Found);
-  EXPECT_FALSE(T.insert(5).Found);
-  EXPECT_EQ(T.size(), 3u);
-  EXPECT_TRUE(T.find(3).Found);
-  EXPECT_FALSE(T.find(4).Found);
-  EXPECT_TRUE(T.erase(3).Found);
-  EXPECT_FALSE(T.erase(3).Found);
-  EXPECT_TRUE(T.checkInvariants());
-}
 
 TEST(SplayTreeTest, AccessSplaysToRoot) {
   SplayTree T;
@@ -54,56 +40,6 @@ TEST(SplayTreeTest, RepeatedAccessBecomesCheap) {
   OpResult Again = T.find(Hot);
   EXPECT_TRUE(Again.Found);
   EXPECT_EQ(Again.Cost, 1u);
-}
-
-TEST(SplayTreeTest, SortedIterationAndAt) {
-  SplayTree T;
-  for (Key K : {9, 1, 8, 2, 7, 3})
-    T.insert(K);
-  Key Expected[] = {1, 2, 3, 7, 8, 9};
-  for (unsigned I = 0; I != 6; ++I)
-    EXPECT_EQ(T.at(I), Expected[I]);
-  EXPECT_EQ(T.iterate(6).Cost, 6u);
-}
-
-TEST(SplayTreeTest, EraseAtAndClear) {
-  SplayTree T(32);
-  for (Key K : {10, 20, 30, 40})
-    T.insert(K);
-  EXPECT_TRUE(T.eraseAt(1).Found);
-  EXPECT_FALSE(T.find(20).Found);
-  EXPECT_TRUE(T.checkInvariants());
-  T.clear();
-  EXPECT_EQ(T.size(), 0u);
-  EXPECT_EQ(T.simLiveBytes(), 0u);
-}
-
-TEST(SplayTreeTest, RandomChurnAgainstReference) {
-  SplayTree T;
-  std::set<Key> Ref;
-  Rng R(123);
-  for (int I = 0; I != 6000; ++I) {
-    Key K = static_cast<Key>(R.nextBelow(400));
-    switch (R.nextBelow(3)) {
-    case 0:
-      ASSERT_EQ(T.insert(K).Found, Ref.insert(K).second);
-      break;
-    case 1:
-      ASSERT_EQ(T.erase(K).Found, Ref.erase(K) == 1);
-      break;
-    default:
-      ASSERT_EQ(T.find(K).Found, Ref.count(K) == 1);
-      break;
-    }
-    ASSERT_EQ(T.size(), Ref.size());
-    if (I % 1000 == 0) {
-      ASSERT_TRUE(T.checkInvariants());
-    }
-  }
-  ASSERT_TRUE(T.checkInvariants());
-  uint64_t I = 0;
-  for (Key K : Ref)
-    ASSERT_EQ(T.at(I++), K);
 }
 
 TEST(SplayTreeTest, SkewNarrowsTheGapToRedBlack) {
