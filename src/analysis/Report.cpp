@@ -128,13 +128,13 @@ brainy::analysis::renderJson(const std::vector<FileAnalysis> &Files) {
         OS << "          \"ops\": ["
            << joinMapped(V.Ops,
                          [](Op O) {
-                           return "\"" + std::string(opName(O)) + "\"";
+                           return std::string("\"") + opName(O) + "\"";
                          })
            << "],\n";
         OS << "          \"requires\": ["
            << joinMapped(V.Required,
                          [](Property P) {
-                           return "\"" + std::string(propertyName(P)) + "\"";
+                           return std::string("\"") + propertyName(P) + "\"";
                          })
            << "],\n";
         OS << "          \"verdicts\": {";

@@ -289,11 +289,13 @@ TEST(Apply, ApplyOnItsOwnOutputIsANoOp) {
 
 TEST(Apply, JsonReportIsByteIdenticalAcrossJobCounts) {
   std::vector<std::pair<std::string, std::string>> Sources;
-  for (int I = 0; I != 6; ++I)
-    Sources.emplace_back("f" + std::to_string(I) + ".cpp",
+  for (int I = 0; I != 6; ++I) {
+    std::string N = std::to_string(I);
+    Sources.emplace_back("f" + N + ".cpp",
                          "#include <map>\n"
-                         "std::map<int, int> M" + std::to_string(I) + ";\n"
-                         "void f() { M" + std::to_string(I) + "[1] = 2; }\n");
+                         "std::map<int, int> M" + N + ";\n"
+                         "void f() { M" + N + "[1] = 2; }\n");
+  }
   std::string Serial = renderApplyJson(rewriteSources(Sources,
                                                       ApplyOptions(), 1));
   std::string Parallel = renderApplyJson(rewriteSources(Sources,
