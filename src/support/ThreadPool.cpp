@@ -61,19 +61,15 @@ void ThreadPool::workerLoop() {
   }
 }
 
-void ThreadPool::parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
-                                const std::function<void(size_t, size_t)> &Fn) {
+void ThreadPool::parallelFor(size_t Begin, size_t End,
+                             const std::function<void(size_t)> &Fn) {
   if (Begin >= End)
     return;
-  if (ChunkSize == 0)
-    ChunkSize = 1;
-  size_t NumChunks = (End - Begin + ChunkSize - 1) / ChunkSize;
+  size_t Count = End - Begin;
 
-  if (Threads.empty() || inWorker() || NumChunks == 1) {
-    for (size_t C = 0; C != NumChunks; ++C) {
-      size_t B = Begin + C * ChunkSize;
-      Fn(B, B + ChunkSize < End ? B + ChunkSize : End);
-    }
+  if (Threads.empty() || inWorker() || Count == 1) {
+    for (size_t I = Begin; I != End; ++I)
+      Fn(I);
     return;
   }
 
@@ -81,40 +77,34 @@ void ThreadPool::parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
   // only starts after the range is exhausted still has valid state to
   // observe (it claims nothing and exits).
   struct Job {
-    std::atomic<size_t> NextChunk{0};
-    std::atomic<size_t> DoneChunks{0};
-    size_t NumChunks = 0;
+    std::atomic<size_t> Next{0};
+    std::atomic<size_t> DoneCount{0};
+    size_t Count = 0;
     size_t Begin = 0;
-    size_t End = 0;
-    size_t ChunkSize = 1;
-    const std::function<void(size_t, size_t)> *Fn = nullptr;
+    const std::function<void(size_t)> *Fn = nullptr;
     Mutex DoneMutex;
     ConditionVariable Done;
     std::exception_ptr Error BRAINY_GUARDED_BY(DoneMutex);
   };
   auto J = std::make_shared<Job>();
-  J->NumChunks = NumChunks;
+  J->Count = Count;
   J->Begin = Begin;
-  J->End = End;
-  J->ChunkSize = ChunkSize;
   J->Fn = &Fn;
 
-  auto RunChunks = [J] {
+  auto RunIndices = [J] {
     for (;;) {
-      size_t C = J->NextChunk.fetch_add(1, std::memory_order_relaxed);
-      if (C >= J->NumChunks)
+      size_t I = J->Next.fetch_add(1, std::memory_order_relaxed);
+      if (I >= J->Count)
         return;
-      size_t B = J->Begin + C * J->ChunkSize;
-      size_t E = B + J->ChunkSize < J->End ? B + J->ChunkSize : J->End;
       try {
-        (*J->Fn)(B, E);
+        (*J->Fn)(J->Begin + I);
       } catch (...) {
         MutexLock Lock(J->DoneMutex);
         if (!J->Error)
           J->Error = std::current_exception();
       }
-      if (J->DoneChunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          J->NumChunks) {
+      if (J->DoneCount.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          J->Count) {
         // Take and drop the lock so the notify cannot race a waiter that
         // already checked the predicate but has not yet blocked.
         { MutexLock Lock(J->DoneMutex); }
@@ -123,27 +113,17 @@ void ThreadPool::parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
     }
   };
 
-  size_t Helpers = Threads.size() < NumChunks - 1 ? Threads.size()
-                                                  : NumChunks - 1;
+  size_t Helpers = Threads.size() < Count - 1 ? Threads.size() : Count - 1;
   for (size_t I = 0; I != Helpers; ++I)
-    submit(RunChunks);
-  RunChunks(); // The caller participates.
+    submit(RunIndices);
+  RunIndices(); // The caller participates.
   std::exception_ptr Error;
   {
     MutexLock Lock(J->DoneMutex);
-    while (J->DoneChunks.load(std::memory_order_acquire) != J->NumChunks)
+    while (J->DoneCount.load(std::memory_order_acquire) != J->Count)
       J->Done.wait(J->DoneMutex);
     Error = J->Error;
   }
   if (Error)
     std::rethrow_exception(Error);
-}
-
-void ThreadPool::parallelFor(size_t Begin, size_t End,
-                             const std::function<void(size_t)> &Fn) {
-  parallelChunks(Begin, End, 1,
-                 [&Fn](size_t B, size_t E) {
-                   for (size_t I = B; I != E; ++I)
-                     Fn(I);
-                 });
 }

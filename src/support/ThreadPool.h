@@ -5,18 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool with chunked map helpers, built only on the
+/// A fixed-size worker pool with one fan-out helper, built only on the
 /// standard library. The training pipeline races seed-derived applications
 /// that are pure functions of (seed, config, machine), so the pool's job is
-/// plain fan-out: callers dispatch index ranges, workers claim chunks from
+/// plain fan-out: callers dispatch index ranges, workers claim indices from
 /// an atomic cursor, and the *caller* merges results in a deterministic
 /// order after the join. Scheduling order is never allowed to influence
 /// results.
 ///
-/// Nesting contract: a parallelFor/parallelChunks issued from inside one of
-/// this pool's workers runs inline on that worker (no new tasks), so
-/// layered parallel code (e.g. Phase II fan-out inside per-model training
-/// fan-out) cannot deadlock the queue.
+/// Nesting contract: a parallelFor issued from inside one of this pool's
+/// workers runs inline on that worker (no new tasks), so layered parallel
+/// code (e.g. Phase II fan-out inside per-model training fan-out) cannot
+/// deadlock the queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +47,7 @@ public:
   unsigned workers() const { return static_cast<unsigned>(Threads.size()); }
 
   /// Enqueues a fire-and-forget task. Tasks submitted directly must not
-  /// throw; use parallelFor/parallelChunks for exception propagation.
+  /// throw; use parallelFor for exception propagation.
   void submit(std::function<void()> Task);
 
   /// Runs Fn(I) for every I in [Begin, End), one index per claimed unit of
@@ -58,12 +58,6 @@ public:
   /// workers.
   void parallelFor(size_t Begin, size_t End,
                    const std::function<void(size_t)> &Fn);
-
-  /// Chunked variant: Fn(ChunkBegin, ChunkEnd) over fixed-size slices of
-  /// [Begin, End). Same blocking, participation, exception, and nesting
-  /// behaviour as parallelFor.
-  void parallelChunks(size_t Begin, size_t End, size_t ChunkSize,
-                      const std::function<void(size_t, size_t)> &Fn);
 
   /// True when the calling thread is one of this pool's workers.
   bool inWorker() const;

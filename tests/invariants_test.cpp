@@ -123,7 +123,7 @@ TEST(FaultInjectorDeterminism, ProbeOrderDoesNotChangeDecisions) {
 }
 
 TEST(FaultInjectorDeterminism, SameDecisionsAtEveryJobCount) {
-  // The training-pipeline shape: keys partitioned over worker threads.
+  // The training-pipeline shape: keys fanned out over worker threads.
   // Every job count must produce the identical decision table, and hence
   // the identical set of surviving seeds.
   constexpr uint64_t NumKeys = 256;
@@ -138,16 +138,11 @@ TEST(FaultInjectorDeterminism, SameDecisionsAtEveryJobCount) {
     ASSERT_FALSE(Injector.configure("eval:0.25:1234"));
     std::vector<char> Parallel(NumKeys * NumSalts);
     ThreadPool Pool(Jobs - 1);
-    Pool.parallelChunks(0, NumKeys, NumKeys / Jobs,
-                        [&](size_t Begin, size_t End) {
-                          for (size_t Key = Begin; Key != End; ++Key)
-                            for (uint64_t Salt = 0; Salt != NumSalts; ++Salt)
-                              Parallel[Key * NumSalts + Salt] =
-                                  Injector.shouldFail(FaultSite::Eval, Key,
-                                                      Salt)
-                                      ? 1
-                                      : 0;
-                        });
+    Pool.parallelFor(0, NumKeys, [&](size_t Key) {
+      for (uint64_t Salt = 0; Salt != NumSalts; ++Salt)
+        Parallel[Key * NumSalts + Salt] =
+            Injector.shouldFail(FaultSite::Eval, Key, Salt) ? 1 : 0;
+    });
     EXPECT_EQ(Parallel, Serial) << "jobs=" << Jobs;
     EXPECT_EQ(Injector.injectedCount(FaultSite::Eval),
               Reference.injectedCount(FaultSite::Eval))

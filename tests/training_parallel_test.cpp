@@ -34,15 +34,10 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
     EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
 }
 
-TEST(ThreadPoolTest, ParallelChunksPartitionsRange) {
+TEST(ThreadPoolTest, ParallelForCoversOffsetRangeOnly) {
   ThreadPool Pool(2);
   std::vector<std::atomic<int>> Hits(100);
-  Pool.parallelChunks(10, 90, 7, [&](size_t B, size_t E) {
-    ASSERT_LT(B, E);
-    ASSERT_LE(E - B, 7u);
-    for (size_t I = B; I != E; ++I)
-      Hits[I].fetch_add(1);
-  });
+  Pool.parallelFor(10, 90, [&](size_t I) { Hits[I].fetch_add(1); });
   for (size_t I = 0; I != Hits.size(); ++I)
     EXPECT_EQ(Hits[I].load(), I >= 10 && I < 90 ? 1 : 0) << "index " << I;
 }
