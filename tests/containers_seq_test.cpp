@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "adt/Container.h"
 #include "containers/Deque.h"
 #include "containers/List.h"
 #include "containers/Vector.h"
@@ -12,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
 using namespace brainy;
@@ -400,3 +404,157 @@ TEST_P(ElementSizeSweep, VectorFootprintScales) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ElementSizeSweep,
                          ::testing::Values(4, 8, 16, 32, 64, 128, 256));
+
+//===----------------------------------------------------------------------===//
+// Pinned event streams
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What one container kind charges for playScript on a core2 MachineModel.
+struct SeqPin {
+  HardwareCounters Want;
+  const char *Cycles; ///< MachineModel::cycles() as %a text
+  uint64_t PeakBytes;
+  uint64_t Resizes;
+  uint64_t Cost; ///< summed OpResult::Cost
+};
+
+// Recorded while Vector and Deque each carried their own copy of the array
+// plumbing, and List and HashTable one search loop per caller. The event
+// order is part of each container's output: the cache and branch models
+// are stateful, so moving one touch, branch, work charge, allocation or
+// free changes these numbers and every bundle that races the kind.
+SeqPin seqPin(DsKind Kind) {
+  switch (Kind) {
+  case DsKind::Vector:
+    return {{.Instructions = 3438662, .L1Accesses = 1437683, .L1Misses = 510,
+             .L2Accesses = 510, .L2Misses = 504, .Branches = 999190,
+             .BranchMispredicts = 1409, .Allocations = 12, .Frees = 12},
+            "0x1.a6d74f334af54p+21", /*PeakBytes=*/49152, /*Resizes=*/12,
+            /*Cost=*/998807};
+  case DsKind::List:
+    return {{.Instructions = 3200454, .L1Accesses = 823603, .L1Misses = 4266,
+             .L2Accesses = 4266, .L2Misses = 95, .Branches = 1357282,
+             .BranchMispredicts = 1754, .Allocations = 1422, .Frees = 1422},
+            "0x1.90014a666b6ddp+21", /*PeakBytes=*/35744, /*Resizes=*/0,
+            /*Cost=*/819766};
+  case DsKind::Deque:
+    return {{.Instructions = 2871761, .L1Accesses = 810907, .L1Misses = 570,
+             .L2Accesses = 570, .L2Misses = 562, .Branches = 685612,
+             .BranchMispredicts = 1257, .Allocations = 12, .Frees = 12},
+            "0x1.1abf4399a260ep+21", /*PeakBytes=*/49152, /*Resizes=*/12,
+            /*Cost=*/685419};
+  case DsKind::HashSet:
+  default:
+    return {{.Instructions = 407039, .L1Accesses = 180841, .L1Misses = 536,
+             .L2Accesses = 536, .L2Misses = 536, .Branches = 45616,
+             .BranchMispredicts = 2882, .Allocations = 893, .Frees = 893},
+            "0x1.62ea51999c0b2p+19", /*PeakBytes=*/28672, /*Resizes=*/6,
+            /*Cost=*/70740};
+  }
+}
+
+/// One seeded script over every interface call: growth through several
+/// resizes, pushFront, insertAt near the front, the middle and the back
+/// (so a deque shifts both sides), eraseAt on both halves and past the
+/// end, erase and find of keys likely present ([0, 1024)) and never present
+/// ([4096, 8192)), iterate across many wraps, then clear and a little
+/// regrowth for the destructor to free. Returns the summed cost.
+uint64_t playScript(Container &C) {
+  Rng R(2011);
+  uint64_t Cost = 0;
+  auto Present = [&] { return static_cast<Key>(R.nextBelow(1024)); };
+  auto Absent = [&] { return static_cast<Key>(4096 + R.nextBelow(4096)); };
+  for (int I = 0; I != 300; ++I)
+    Cost += C.insert(Present()).Cost;
+  for (int I = 0; I != 3000; ++I) {
+    uint64_t Size = C.size();
+    switch (R.nextBelow(16)) {
+    case 0:
+    case 1:
+      Cost += C.insert(Present()).Cost;
+      break;
+    case 2:
+      Cost += C.pushFront(Present()).Cost;
+      break;
+    case 3:
+      Cost += C.insertAt(R.nextBelow(4), Present()).Cost;
+      break;
+    case 4:
+      Cost += C.insertAt(Size / 2 + R.nextBelow(3), Present()).Cost;
+      break;
+    case 5: // the back, and now and then past it
+      Cost += C.insertAt(Size + 2 - R.nextBelow(6), Present()).Cost;
+      break;
+    case 6:
+      Cost += C.eraseAt(R.nextBelow(Size + 4)).Cost;
+      break;
+    case 7:
+      Cost += C.erase(Present()).Cost;
+      break;
+    case 8:
+      Cost += C.erase(Absent()).Cost;
+      break;
+    case 9:
+    case 10:
+      Cost += C.find(Present()).Cost;
+      break;
+    case 11:
+      Cost += C.find(Absent()).Cost;
+      break;
+    default:
+      Cost += C.iterate(1 + R.nextBelow(64)).Cost;
+      break;
+    }
+  }
+  C.clear();
+  EXPECT_EQ(C.size(), 0u);
+  for (int I = 0; I != 20; ++I)
+    Cost += C.insert(Present()).Cost;
+  return Cost;
+}
+
+std::string hexDouble(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%a", V);
+  return Buf;
+}
+
+class SeqPinTest : public ::testing::TestWithParam<DsKind> {};
+
+} // namespace
+
+TEST_P(SeqPinTest, EventStreamIsPinned) {
+  MachineModel Model(MachineConfig::core2());
+  // 16-byte elements: list and hash nodes grow to 32 and 24 bytes, and an
+  // array copy moves two elements per cache block.
+  std::unique_ptr<Container> C = makeContainer(GetParam(), 16, &Model);
+  uint64_t Cost = playScript(*C);
+  uint64_t PeakBytes = C->simPeakBytes();
+  uint64_t Resizes = C->resizeCount();
+  C.reset(); // the destructor's free is part of the stream
+  SeqPin Pin = seqPin(GetParam());
+  HardwareCounters Got = Model.counters();
+  EXPECT_EQ(Got.Instructions, Pin.Want.Instructions);
+  EXPECT_EQ(Got.L1Accesses, Pin.Want.L1Accesses);
+  EXPECT_EQ(Got.L1Misses, Pin.Want.L1Misses);
+  EXPECT_EQ(Got.L2Accesses, Pin.Want.L2Accesses);
+  EXPECT_EQ(Got.L2Misses, Pin.Want.L2Misses);
+  EXPECT_EQ(Got.Branches, Pin.Want.Branches);
+  EXPECT_EQ(Got.BranchMispredicts, Pin.Want.BranchMispredicts);
+  EXPECT_EQ(Got.Allocations, Pin.Want.Allocations);
+  EXPECT_EQ(Got.Frees, Pin.Want.Frees);
+  EXPECT_EQ(hexDouble(Got.Cycles), Pin.Cycles);
+  EXPECT_EQ(hexDouble(Model.cycles()), Pin.Cycles);
+  EXPECT_EQ(PeakBytes, Pin.PeakBytes);
+  EXPECT_EQ(Resizes, Pin.Resizes);
+  EXPECT_EQ(Cost, Pin.Cost);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, SeqPinTest,
+                         ::testing::Values(DsKind::Vector, DsKind::List,
+                                           DsKind::Deque, DsKind::HashSet),
+                         [](const ::testing::TestParamInfo<DsKind> &Info) {
+                           return std::string(dsKindName(Info.param));
+                         });
