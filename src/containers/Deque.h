@@ -10,29 +10,26 @@
 /// middle insertion that shifts toward the nearer end (half the moves of a
 /// vector on average). This captures std::deque's selection-relevant
 /// properties: cheap front insertion (why Table 1 lists it as a vector/list
-/// alternative) at slightly higher constant factors than vector.
+/// alternative) at slightly higher constant factors than vector. The ring
+/// lives in ArrayCore; this class adds its work constants and its
+/// head-side paths.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BRAINY_CONTAINERS_DEQUE_H
 #define BRAINY_CONTAINERS_DEQUE_H
 
-#include "containers/ContainerBase.h"
-
-#include <vector>
+#include "containers/ArrayCore.h"
 
 namespace brainy {
 namespace ds {
 
 /// Instrumentable ring-buffer deque of Key.
-class Deque : public ContainerBase {
+class Deque : public ArrayCore<Deque> {
 public:
   explicit Deque(uint32_t ElemBytes = 8, MachineModel *Model = nullptr,
-                 uint64_t HeapBase = 0x30000000ULL);
-  ~Deque();
-
-  /// Appends \p K in O(1) amortised. Cost = resize copies.
-  OpResult pushBack(Key K);
+                 uint64_t HeapBase = 0x30000000ULL)
+      : ArrayCore(ElemBytes, Model, HeapBase) {}
 
   /// Prepends \p K in O(1) amortised. Cost = resize copies.
   OpResult pushFront(Key K);
@@ -41,49 +38,20 @@ public:
   /// the nearer end. Cost = elements shifted (+ resize copies).
   OpResult insertAt(uint64_t Pos, Key K);
 
-  /// Removes the element at logical \p Pos. Cost = elements shifted.
+  /// Removes the element at logical \p Pos, shifting the nearer end.
+  /// Cost = elements shifted.
   OpResult eraseAt(uint64_t Pos);
 
-  /// Removes the first element equal to \p K. Cost = scan + shift length.
-  OpResult eraseValue(Key K);
-
-  /// Linear search from the logical front. Cost = elements touched.
-  OpResult find(Key K);
-
-  /// Advances the persistent cursor \p Steps elements (wrapping).
-  OpResult iterate(uint64_t Steps);
-
-  uint64_t size() const { return Count; }
-  bool empty() const { return Count == 0; }
-  void clear();
-
-  uint64_t resizeCount() const { return Resizes; }
-
-  /// Untracked accessor for tests: logical \p Index-th element.
-  Key at(uint64_t Index) const { return Data[physical(Index)]; }
-
 private:
-  uint64_t physical(uint64_t Logical) const {
-    return (HeadIdx + Logical) & (Capacity - 1);
-  }
-  uint64_t elemAddr(uint64_t Logical) const {
-    return SimBase + physical(Logical) * Elem;
-  }
-  /// Doubles capacity, compacting to physical order. \returns copies made.
-  uint64_t grow();
-  uint64_t ensureSpace();
-  void touchElem(uint64_t Logical, uint32_t Bytes) {
-    note(elemAddr(Logical), Bytes);
-  }
+  friend ArrayCore;
 
-  std::vector<Key> Data; ///< physical slots; valid entries per Head/Count
-  uint64_t SimBase = 0;
-  uint64_t Capacity = 0; ///< power of two
-  uint64_t HeadIdx = 0;
-  uint64_t Count = 0;
-  uint64_t Resizes = 0;
-  uint64_t Cursor = 0;
+  // Ring indexing makes every step a little dearer than a vector's.
+  static constexpr uint64_t CompareWork = 3;
+  static constexpr uint64_t WriteWork = 3;
+  static constexpr uint64_t CopyWorkPerElem = 3;
 };
+
+extern template class ArrayCore<Deque>;
 
 } // namespace ds
 } // namespace brainy
