@@ -79,6 +79,25 @@ uint64_t HashTable::rehash() {
   return Moved;
 }
 
+HashTable::Probe HashTable::probe(Key K) {
+  work(HashWork);
+  uint64_t Index = bucketIndex(K);
+  note(bucketSlotAddr(Index), 8);
+  uint64_t Probed = 0;
+  for (Node **Link = &Buckets[Index]; Node *N = *Link; Link = &N->Next) {
+    branch(BranchSite::HashBucketWalk, true);
+    touchNode(N, 8);
+    work(CompareWork);
+    ++Probed;
+    bool Hit = N->Value == K;
+    branch(BranchSite::SearchHit, Hit);
+    if (Hit)
+      return {Index, Link, Probed};
+  }
+  branch(BranchSite::HashBucketWalk, false);
+  return {Index, nullptr, Probed};
+}
+
 OpResult HashTable::insert(Key K) {
   // Load-factor check: rarely taken, mispredicted when a rehash fires —
   // the hash-table twin of vector's resize branch (paper Section 5.1).
@@ -86,79 +105,36 @@ OpResult HashTable::insert(Key K) {
   branch(BranchSite::HashResizeCheck, NeedRehash);
   uint64_t MoveCost = NeedRehash ? rehash() : 0;
 
-  work(HashWork);
-  uint64_t Index = bucketIndex(K);
-  note(bucketSlotAddr(Index), 8);
-  uint64_t Probed = 0;
-  for (Node *N = Buckets[Index]; N; N = N->Next) {
-    branch(BranchSite::HashBucketWalk, true);
-    touchNode(N, 8);
-    work(CompareWork);
-    ++Probed;
-    bool Hit = N->Value == K;
-    branch(BranchSite::SearchHit, Hit);
-    if (Hit)
-      return {false, MoveCost + Probed};
-  }
-  branch(BranchSite::HashBucketWalk, false);
-
+  Probe P = probe(K);
+  if (P.Link)
+    return {false, MoveCost + P.Probed};
   Node *N = makeNode(K);
-  N->Next = Buckets[Index];
-  Buckets[Index] = N;
-  note(bucketSlotAddr(Index), 8);
+  N->Next = Buckets[P.Index];
+  Buckets[P.Index] = N;
+  note(bucketSlotAddr(P.Index), 8);
   work(LinkWork);
   ++Count;
-  return {true, MoveCost + Probed};
+  return {true, MoveCost + P.Probed};
 }
 
 OpResult HashTable::find(Key K) {
-  work(HashWork);
-  uint64_t Index = bucketIndex(K);
-  note(bucketSlotAddr(Index), 8);
-  uint64_t Probed = 0;
-  for (Node *N = Buckets[Index]; N; N = N->Next) {
-    branch(BranchSite::HashBucketWalk, true);
-    touchNode(N, 8);
-    work(CompareWork);
-    ++Probed;
-    bool Hit = N->Value == K;
-    branch(BranchSite::SearchHit, Hit);
-    if (Hit)
-      return {true, Probed};
-  }
-  branch(BranchSite::HashBucketWalk, false);
-  return {false, Probed};
+  Probe P = probe(K);
+  return {P.Link != nullptr, P.Probed};
 }
 
 OpResult HashTable::erase(Key K) {
-  work(HashWork);
-  uint64_t Index = bucketIndex(K);
-  note(bucketSlotAddr(Index), 8);
-  uint64_t Probed = 0;
-  Node **Link = &Buckets[Index];
-  while (Node *N = *Link) {
-    branch(BranchSite::HashBucketWalk, true);
-    touchNode(N, 8);
-    work(CompareWork);
-    ++Probed;
-    bool Hit = N->Value == K;
-    branch(BranchSite::SearchHit, Hit);
-    if (Hit) {
-      if (CursorNode == N) {
-        CursorNode = N->Next;
-        // CursorBucket stays; advance logic handles a null node.
-      }
-      *Link = N->Next;
-      work(LinkWork);
-      destroyNode(N);
-      assert(Count > 0 && "erase from empty table");
-      --Count;
-      return {true, Probed};
-    }
-    Link = &N->Next;
-  }
-  branch(BranchSite::HashBucketWalk, false);
-  return {false, Probed};
+  Probe P = probe(K);
+  if (!P.Link)
+    return {false, P.Probed};
+  Node *N = *P.Link;
+  if (CursorNode == N)
+    CursorNode = N->Next; // CursorBucket stays; iterate skips a null node.
+  *P.Link = N->Next;
+  work(LinkWork);
+  destroyNode(N);
+  assert(Count > 0 && "erase from empty table");
+  --Count;
+  return {true, P.Probed};
 }
 
 OpResult HashTable::eraseAt(uint64_t Pos) {

@@ -83,6 +83,14 @@ private:
     return BucketBase + Index * 8;
   }
 
+  struct Probe {
+    uint64_t Index; ///< the key's bucket
+    Node **Link;    ///< the link holding the key's node, or null
+    uint64_t Probed;
+  };
+  /// Tracked hash and chain walk for \p K.
+  Probe probe(Key K);
+
   Node *makeNode(Key K);
   void destroyNode(Node *N);
   /// Doubles the bucket array and rehashes every node.

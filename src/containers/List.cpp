@@ -129,26 +129,7 @@ OpResult List::eraseAt(uint64_t Pos) {
   return {true, Pos};
 }
 
-OpResult List::eraseValue(Key K) {
-  uint64_t Touched = 0;
-  for (Node *N = Head; N; N = N->Next) {
-    branch(BranchSite::ListWalkLoop, true);
-    touchNode(N, 8);
-    work(CompareWork);
-    ++Touched;
-    bool Hit = N->Value == K;
-    branch(BranchSite::SearchHit, Hit);
-    if (Hit) {
-      unlink(N);
-      destroyNode(N);
-      return {true, Touched};
-    }
-  }
-  branch(BranchSite::ListWalkLoop, false);
-  return {false, Touched};
-}
-
-OpResult List::find(Key K) {
+List::Search List::search(Key K) {
   uint64_t Touched = 0;
   for (Node *N = Head; N; N = N->Next) {
     branch(BranchSite::ListWalkLoop, true);
@@ -158,10 +139,24 @@ OpResult List::find(Key K) {
     bool Hit = N->Value == K;
     branch(BranchSite::SearchHit, Hit);
     if (Hit)
-      return {true, Touched};
+      return {N, Touched};
   }
   branch(BranchSite::ListWalkLoop, false);
-  return {false, Touched};
+  return {nullptr, Touched};
+}
+
+OpResult List::eraseValue(Key K) {
+  Search S = search(K);
+  if (S.Hit) {
+    unlink(S.Hit);
+    destroyNode(S.Hit);
+  }
+  return {S.Hit != nullptr, S.Touched};
+}
+
+OpResult List::find(Key K) {
+  Search S = search(K);
+  return {S.Hit != nullptr, S.Touched};
 }
 
 OpResult List::iterate(uint64_t Steps) {

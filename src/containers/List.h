@@ -77,6 +77,12 @@ private:
   /// Walks to the \p Pos-th node emitting touch events; nullptr when past
   /// the tail.
   Node *walkTo(uint64_t Pos);
+  struct Search {
+    Node *Hit; ///< the first node holding the key, or null
+    uint64_t Touched;
+  };
+  /// Tracked walk from the head to the first node holding \p K.
+  Search search(Key K);
   void touchNode(const Node *N, uint32_t Bytes);
 
   Node *Head = nullptr;
