@@ -59,27 +59,9 @@ bool FdTransport::readAll(void *Data, size_t Size, int TimeoutMs) {
   char *P = static_cast<char *>(Data);
   size_t Got = 0;
   while (Got != Size) {
-    struct pollfd Pfd;
-    Pfd.fd = ReadFd;
-    Pfd.events = POLLIN;
-    Pfd.revents = 0;
-    int R = ::poll(&Pfd, 1, TimeoutMs);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      throwIo("transport poll");
-    }
-    if (R == 0)
-      throw ErrorException(
-          Error(ErrCode::IoError, "transport read timed out after " +
-                                      std::to_string(TimeoutMs) + " ms"));
-    ssize_t N = ::read(ReadFd, P + Got, Size - Got);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      throwIo("transport read");
-    }
-    if (N == 0) {
+    bool Eof;
+    size_t N = readSome(P + Got, Size - Got, TimeoutMs, Eof);
+    if (Eof) {
       if (Got == 0)
         return false; // clean end-of-stream between data
       throw ErrorException(
@@ -87,7 +69,11 @@ bool FdTransport::readAll(void *Data, size_t Size, int TimeoutMs) {
                 "peer closed mid-datum (" + std::to_string(Got) + " of " +
                     std::to_string(Size) + " bytes)"));
     }
-    Got += static_cast<size_t>(N);
+    if (N == 0)
+      throw ErrorException(
+          Error(ErrCode::IoError, "transport read timed out after " +
+                                      std::to_string(TimeoutMs) + " ms"));
+    Got += N;
   }
   return true;
 }

@@ -50,6 +50,10 @@
 #include <thread>
 #include <vector>
 
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 using namespace brainy;
 using namespace brainy::dist;
 
@@ -443,6 +447,98 @@ TEST(FrameTest, ImplausibleLengthPrefixIsRejectedBeforeAllocation) {
   } catch (const ErrorException &E) {
     EXPECT_EQ(E.error().code(), ErrCode::BadFormat);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// FdTransport on a real descriptor
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A connected socketpair: one end read through an FdTransport, the other
+/// written and closed by hand.
+struct SocketPairEnds {
+  std::unique_ptr<FdTransport> Reader;
+  int ReadFd = -1;
+  int WriteFd = -1;
+
+  SocketPairEnds() {
+    int Fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0)
+      throw std::runtime_error("socketpair failed");
+    ReadFd = Fds[0];
+    WriteFd = Fds[1];
+    Reader = std::make_unique<FdTransport>(ReadFd, ReadFd, /*Owned=*/true);
+  }
+  ~SocketPairEnds() { closeWriter(); }
+
+  void write(const std::string &Bytes) {
+    ASSERT_EQ(::write(WriteFd, Bytes.data(), Bytes.size()),
+              static_cast<ssize_t>(Bytes.size()));
+  }
+  void closeWriter() {
+    if (WriteFd >= 0)
+      ::close(WriteFd);
+    WriteFd = -1;
+  }
+  /// Bytes written but not yet read.
+  int pending() const {
+    int N = 0;
+    return ::ioctl(ReadFd, FIONREAD, &N) == 0 ? N : -1;
+  }
+};
+
+/// The error readAll throws for \p Size bytes, or Ok when it returns.
+Error readAllError(FdTransport &T, size_t Size, int TimeoutMs) {
+  std::string Buf(Size, '\0');
+  try {
+    T.readAll(Buf.data(), Size, TimeoutMs);
+  } catch (const ErrorException &E) {
+    return E.error();
+  }
+  return Error::success();
+}
+
+} // namespace
+
+TEST(FdTransportTest, ReadAllTimesOutWithIoError) {
+  SocketPairEnds P;
+  Error E = readAllError(*P.Reader, 8, 20);
+  EXPECT_EQ(E.code(), ErrCode::IoError);
+  EXPECT_EQ(E.context(), "transport read timed out after 20 ms");
+}
+
+TEST(FdTransportTest, ReadAllReportsEofBeforeTheFirstByte) {
+  SocketPairEnds P;
+  P.closeWriter();
+  char Buf[8];
+  EXPECT_FALSE(P.Reader->readAll(Buf, sizeof(Buf), 1000));
+}
+
+TEST(FdTransportTest, ReadAllRejectsEofMidDatum) {
+  SocketPairEnds P;
+  P.write("abc");
+  P.closeWriter();
+  Error E = readAllError(*P.Reader, 8, 1000);
+  EXPECT_EQ(E.code(), ErrCode::Truncated);
+  EXPECT_EQ(E.context(), "peer closed mid-datum (3 of 8 bytes)");
+}
+
+TEST(FdTransportTest, ReadAllJoinsADatumSplitAcrossWrites) {
+  SocketPairEnds P;
+  P.write("half");
+  // Send the second half only once readAll has taken the first, so the
+  // datum arrives in two reads.
+  std::thread Late([&] {
+    while (P.pending() > 0)
+      std::this_thread::yield();
+    P.write("more");
+  });
+  char Buf[8];
+  bool Read = P.Reader->readAll(Buf, sizeof(Buf), 5000);
+  Late.join();
+  ASSERT_TRUE(Read);
+  EXPECT_EQ(std::string(Buf, sizeof(Buf)), "halfmore");
 }
 
 //===----------------------------------------------------------------------===//
