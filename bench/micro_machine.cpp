@@ -3,7 +3,7 @@
 // Part of the Brainy reproduction of PLDI 2011's "Brainy".
 //
 // Wall-clock google-benchmark microbenchmarks of the microarchitecture
-// simulator, the tree containers' emitters feeding it, and the
+// simulator, the tree and array containers' emitters feeding it, and the
 // synthetic-application runner: events per second and apps per second
 // determine how large a training sweep is affordable.
 //
@@ -103,56 +103,91 @@ void BM_MachineModelBlockScan(benchmark::State &State) {
 }
 BENCHMARK(BM_MachineModelBlockScan);
 
-// The tree kinds' emitters plus the model they feed: Phase I's largest
-// simulation entry, which BM_RunProfiledApp times only inside whole apps.
-// Keys are drawn from twice the prepopulated count, so a find hits about
-// half the time and an insert finds its key absent 30-50% of the time.
-constexpr uint64_t TreeKeys = 4096;
+// The container emitters plus the model they feed, which BM_RunProfiledApp
+// times only inside whole apps. Each row builds one container from
+// BenchKeys keys drawn from twice that range.
+constexpr uint64_t BenchKeys = 4096;
 
-std::unique_ptr<Container> prepopulatedTree(DsKind Kind, MachineModel &Model,
-                                            Rng &R) {
+ds::Key drawKey(Rng &R) {
+  return static_cast<ds::Key>(R.nextBelow(2 * BenchKeys));
+}
+
+/// A container of \p Kind holding BenchKeys drawn keys (distinct ones for
+/// the set kinds).
+std::unique_ptr<Container> prepopulated(DsKind Kind, MachineModel &Model,
+                                        Rng &R) {
   std::unique_ptr<Container> C = makeContainer(Kind, 8, &Model);
-  while (C->size() != TreeKeys)
-    C->insert(static_cast<ds::Key>(R.nextBelow(2 * TreeKeys)));
+  while (C->size() != BenchKeys)
+    C->insert(drawKey(R));
   return C;
 }
 
-void BM_TreeFind(benchmark::State &State, DsKind Kind) {
+/// Times one find of a drawn key per iteration.
+void timeFinds(benchmark::State &State, DsKind Kind) {
   MachineModel M(MachineConfig::core2());
   Rng R(7);
-  std::unique_ptr<Container> C = prepopulatedTree(Kind, M, R);
+  std::unique_ptr<Container> C = prepopulated(Kind, M, R);
   for (auto _ : State)
-    benchmark::DoNotOptimize(
-        C->find(static_cast<ds::Key>(R.nextBelow(2 * TreeKeys))));
+    benchmark::DoNotOptimize(C->find(drawKey(R)));
   benchmark::DoNotOptimize(M.cycles());
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK_CAPTURE(BM_TreeFind, set, DsKind::Set);
-BENCHMARK_CAPTURE(BM_TreeFind, avl_set, DsKind::AvlSet);
 
-void BM_TreeInsert(benchmark::State &State, DsKind Kind) {
+/// Times one \p Insert per iteration, rebuilding the container untimed
+/// every BenchKeys inserts so its size stays under twice that.
+template <typename InsertFn>
+void timeInserts(benchmark::State &State, DsKind Kind, InsertFn Insert) {
   MachineModel M(MachineConfig::core2());
   Rng R(7);
   std::unique_ptr<Container> C;
   uint64_t Left = 0;
   for (auto _ : State) {
     if (Left == 0) {
-      // Start again from TreeKeys keys every TreeKeys inserts, so the tree
-      // stays under twice that and misses stay common.
       State.PauseTiming();
-      C = prepopulatedTree(Kind, M, R);
-      Left = TreeKeys;
+      C = prepopulated(Kind, M, R);
+      Left = BenchKeys;
       State.ResumeTiming();
     }
     --Left;
-    benchmark::DoNotOptimize(
-        C->insert(static_cast<ds::Key>(R.nextBelow(2 * TreeKeys))));
+    benchmark::DoNotOptimize(Insert(*C, R));
   }
   benchmark::DoNotOptimize(M.cycles());
   State.SetItemsProcessed(State.iterations());
 }
+
+// The tree kinds: Phase I's largest simulation entry. A find hits about
+// half the time and an insert finds its key absent 30-50% of the time.
+void BM_TreeFind(benchmark::State &State, DsKind Kind) {
+  timeFinds(State, Kind);
+}
+BENCHMARK_CAPTURE(BM_TreeFind, set, DsKind::Set);
+BENCHMARK_CAPTURE(BM_TreeFind, avl_set, DsKind::AvlSet);
+
+void BM_TreeInsert(benchmark::State &State, DsKind Kind) {
+  timeInserts(State, Kind,
+              [](Container &C, Rng &R) { return C.insert(drawKey(R)); });
+}
 BENCHMARK_CAPTURE(BM_TreeInsert, set, DsKind::Set);
 BENCHMARK_CAPTURE(BM_TreeInsert, avl_set, DsKind::AvlSet);
+
+// The array kinds, the largest sequence entries. A find scans from the
+// front and misses about 60% of the time; an insert lands at a uniformly
+// drawn position, so a vector shifts half its elements and a deque a
+// quarter.
+void BM_SeqFind(benchmark::State &State, DsKind Kind) {
+  timeFinds(State, Kind);
+}
+BENCHMARK_CAPTURE(BM_SeqFind, vector, DsKind::Vector);
+BENCHMARK_CAPTURE(BM_SeqFind, deque, DsKind::Deque);
+
+void BM_SeqInsertAt(benchmark::State &State, DsKind Kind) {
+  timeInserts(State, Kind, [](Container &C, Rng &R) {
+    uint64_t Pos = R.nextBelow(C.size() + 1);
+    return C.insertAt(Pos, drawKey(R));
+  });
+}
+BENCHMARK_CAPTURE(BM_SeqInsertAt, vector, DsKind::Vector);
+BENCHMARK_CAPTURE(BM_SeqInsertAt, deque, DsKind::Deque);
 
 void BM_RunSyntheticApp(benchmark::State &State) {
   AppConfig Gen;
