@@ -43,6 +43,8 @@ namespace ds {
 ///   - `static constexpr uint64_t CompareWork`, `WriteWork` and
 ///     `CopyWorkPerElem`: instructions charged per element read by a
 ///     search or iteration, per element written, and per element moved;
+///   - `static constexpr bool HeadMoves`: false when the container only
+///     ever shifts its tail side, so its head index stays 0;
 ///   - `OpResult eraseAt(uint64_t Pos)`, which eraseValue calls on a hit.
 template <typename Derived> class ArrayCore : public ContainerBase {
 public:
@@ -78,6 +80,10 @@ public:
 
 protected:
   uint64_t physical(uint64_t Logical) const {
+    // With the head at 0, logical slot I is physical slot I: no masking,
+    // and a shift's key moves compile to one memmove.
+    if constexpr (!Derived::HeadMoves)
+      return Logical;
     return (HeadIdx + Logical) & (Capacity - 1);
   }
 
@@ -131,8 +137,9 @@ private:
 
   /// Doubles capacity, compacting to physical order. \returns copies made.
   uint64_t grow();
-  /// One step of a shift loop: copies logical slot \p From to \p To.
-  void moveSlot(uint64_t From, uint64_t To);
+  /// One step of a shift loop: the events of copying logical slot \p From
+  /// to \p To.
+  void noteMove(uint64_t From, uint64_t To);
 };
 
 template <typename Derived> ArrayCore<Derived>::~ArrayCore() {
@@ -171,26 +178,33 @@ template <typename Derived> uint64_t ArrayCore<Derived>::ensureSpace() {
 }
 
 template <typename Derived>
-void ArrayCore<Derived>::moveSlot(uint64_t From, uint64_t To) {
+void ArrayCore<Derived>::noteMove(uint64_t From, uint64_t To) {
   branch(BranchSite::VectorShiftLoop, true);
   touchElem(From, Elem);
   touchElem(To, Elem);
   work(Derived::CopyWorkPerElem + Elem / 16);
-  Data[physical(To)] = Data[physical(From)];
 }
 
+// The keys move after the events, in a loop with no model call that the
+// compiler can keep in registers (a vector's becomes one memmove).
 template <typename Derived>
 void ArrayCore<Derived>::shiftBack(uint64_t Lo, uint64_t Hi) {
   for (uint64_t I = Hi; I > Lo; --I)
-    moveSlot(I - 1, I);
+    noteMove(I - 1, I);
   branch(BranchSite::VectorShiftLoop, false);
+  Key *Slots = Data.data();
+  for (uint64_t I = Hi; I > Lo; --I)
+    Slots[physical(I)] = Slots[physical(I - 1)];
 }
 
 template <typename Derived>
 void ArrayCore<Derived>::shiftFront(uint64_t Lo, uint64_t Hi) {
   for (uint64_t I = Lo; I < Hi; ++I)
-    moveSlot(I, I - 1);
+    noteMove(I, I - 1);
   branch(BranchSite::VectorShiftLoop, false);
+  Key *Slots = Data.data();
+  for (uint64_t I = Lo; I < Hi; ++I)
+    Slots[physical(I - 1)] = Slots[physical(I)];
 }
 
 template <typename Derived>

@@ -49,6 +49,7 @@ private:
   static constexpr uint64_t CompareWork = 3;
   static constexpr uint64_t WriteWork = 3;
   static constexpr uint64_t CopyWorkPerElem = 3;
+  static constexpr bool HeadMoves = true;
 };
 
 extern template class ArrayCore<Deque>;

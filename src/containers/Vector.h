@@ -46,6 +46,8 @@ private:
   static constexpr uint64_t CompareWork = 2;
   static constexpr uint64_t WriteWork = 2;
   static constexpr uint64_t CopyWorkPerElem = 2;
+  // Every insert and erase shifts the tail side.
+  static constexpr bool HeadMoves = false;
 };
 
 extern template class ArrayCore<Vector>;
