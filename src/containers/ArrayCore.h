@@ -80,8 +80,7 @@ public:
 
 protected:
   uint64_t physical(uint64_t Logical) const {
-    // With the head at 0, logical slot I is physical slot I: no masking,
-    // and a shift's key moves compile to one memmove.
+    // With the head fixed at 0, logical slot I is physical slot I.
     if constexpr (!Derived::HeadMoves)
       return Logical;
     return (HeadIdx + Logical) & (Capacity - 1);
